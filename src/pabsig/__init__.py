@@ -40,6 +40,7 @@ from .lift import (
 )
 from .oracle import direct_truncated_kernel, linear_kernel_closed_form, tail_bound
 from .tensors import (
+    NumericError,
     ShapeMismatchError,
     TruncTensor,
     all_words,

@@ -28,7 +28,7 @@ from .experiment import (
 from .goursat import kernel, solve_order1
 from .lift import TimeSeries, build_pab, thin_partition
 from .oracle import linear_kernel_closed_form
-from .tensors import ShapeMismatchError, all_words
+from .tensors import NumericError, ShapeMismatchError, all_words
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     except ShapeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE

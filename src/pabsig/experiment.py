@@ -136,15 +136,9 @@ def error_estimate(ts_x: TimeSeries, ts_y: TimeSeries, m: int, k: int,
         raise ValueError(f"factor {k} does not divide grid sizes {nx}, {ny}")
     if reference is None:
         reference = reference_value(ts_x, ts_y)
-    if m == 1:
-        # Same collapse as solve at degree 1, materially faster.
-        coarse = solve_order1(np.diff(ts_x.values[::k], axis=0),
-                              np.diff(ts_y.values[::k], axis=0)).value
-    else:
-        px = build_pab(ts_x, ts_x.times[::k], m)
-        py = build_pab(ts_y, ts_y.times[::k], m)
-        coarse = solve(px, py).value
-    return abs(reference - coarse)
+    px = build_pab(ts_x, ts_x.times[::k], m)
+    py = build_pab(ts_y, ts_y.times[::k], m)
+    return abs(reference - solve(px, py).value)
 
 
 def _sample_pairs(cfg: ExperimentConfig) -> List[Tuple[TimeSeries, TimeSeries]]:

@@ -35,7 +35,7 @@ higher-level content, and paths whose neighbouring increments all differ
 
 For degree-1 inputs the adjoint contributions to u vanish identically and
 the system collapses to the classical scalar recursion, provided here as a
-fast path (solve_order1).
+fast path (solve_order1) that solve() takes at degree 1.
 
 Memory: a solve keeps two rows of state unless asked to retain the full
 grids; the vectorized sweep additionally holds two (N_y, N, N) lookup stacks
@@ -50,12 +50,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lift import LieIncrement, PiecewiseAbelianPath, TimeSeries, build_pab
+from .lift import (
+    LieIncrement,
+    PiecewiseAbelianPath,
+    TimeSeries,
+    _partial_products,
+    build_pab,
+)
 from .tensors import (
     ShapeMismatchError,
     TruncTensor,
     _concat_tables,
-    _exp,
     _ladj,
     _mul,
     _radj,
@@ -145,13 +150,8 @@ def _gate_flags(level1: np.ndarray, higher: np.ndarray):
 def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running signature with scalar slot zeroed,
     i.e. the group partial products minus 1."""
-    out = np.zeros((len(incs) + 1, tensor_dim(d, m)))
-    g = out[0].copy()
-    g[0] = 1.0
-    for i, inc in enumerate(incs):
-        g = _mul(d, m, g, _exp(d, m, inc))
-        out[i + 1] = g
-        out[i + 1, 0] = 0.0
+    out = _partial_products(d, m, incs)
+    out[:, 0] = 0.0
     return out
 
 
@@ -243,11 +243,18 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
     march sequentially along the row.  Each cell sees exactly the update of
     step(), so the output is deterministic and reproducible bit-for-bit for
     identical inputs.
+
+    At degree 1 the adjoint states never feed back into u, so unless the
+    grids are asked for, the value comes from the scalar sweep solve_order1
+    on the level-1 coefficients, which agrees with the coupled sweep to
+    rounding.
     """
     _check_compatible(px, py)
     d, m = px.dim, px.degree
     X = px.increment_matrix()
     Y = py.increment_matrix()
+    if m == 1 and not keep_state:
+        return solve_order1(X[:, 1:], Y[:, 1:])
     nx, ny = len(X), len(Y)
     n = X.shape[1]
     cat, ok, rows, cols, srcs = _concat_tables(d, m)

@@ -7,6 +7,14 @@ as a single Lie element.  A piecewise-abelian path fixes a partition and
 keeps one such log-signature per interval; between partition points the
 description evolves log-linearly.  Degree 1 recovers the piecewise linear
 path itself.
+
+All intervals of a path are lifted at once.  One batched kernel steps
+through segment positions and multiplies every interval that still has a
+segment at that position by the exponential of its level-1 increment;
+the multiply is fused into one Horner pass per level, so exp(delta) is
+never formed (as in Signatory, Kidger & Lyons 2021).  One batched
+logarithm follows.  Overflow raises NumericError instead of returning
+non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -17,11 +25,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .tensors import (
+    NumericError,
     ShapeMismatchError,
     TruncTensor,
     _exp,
     _log,
     _mul,
+    _offsets,
     tensor_dim,
 )
 
@@ -140,9 +150,56 @@ class PiecewiseAbelianPath:
         return np.stack([inc.tensor.coeffs for inc in self.increments])
 
 
-def _embed_level1(d: int, m: int, delta: np.ndarray) -> np.ndarray:
-    out = np.zeros(tensor_dim(d, m))
-    out[1:1 + d] = delta
+def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Signatures of consecutive runs of linear segments, one row per run.
+
+    Run i is segments bounds[i] .. bounds[i+1]-1 of `deltas` (shape
+    (n_segments, d)) and must hold at least one.  Rows are ordered by
+    segment count, longest first, so that at position s the runs still
+    going form a leading slice; finished rows are left untouched.  Each step
+    multiplies by exp(delta) in place, top level first, by Horner:
+
+        level n += (...((delta/n + a_1) (x) delta/(n-1) + a_2) ... + a_{n-1}) (x) delta/1
+
+    using the scalar slot a_0 = 1, which the product keeps exact.
+    """
+    offs = _offsets(d, m)
+    counts = np.diff(bounds)
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = bounds[:-1][order], counts[order]
+    scaled = deltas / np.arange(1, m + 1)[:, None, None]   # [k-1] = delta/k
+    sig = np.zeros((len(starts), offs[-1]))
+    sig[:, 0] = 1.0
+    levels = [sig[:, offs[n]:offs[n + 1]] for n in range(m + 1)]
+    for s in range(int(counts[0])):
+        live = int(np.count_nonzero(counts > s))
+        step = scaled[:, starts[:live] + s]
+        for n in range(m, 0, -1):
+            acc = step[n - 1]
+            for j in range(1, n):
+                acc = ((acc + levels[j][:live])[:, :, None]
+                       * step[n - j - 1][:, None, :]).reshape(live, -1)
+            levels[n][:live] += acc
+    out = np.empty_like(sig)
+    out[order] = sig
+    return out
+
+
+def _lifted(d: int, m: int, deltas: np.ndarray, bounds: Sequence[int],
+            log: bool) -> np.ndarray:
+    """Batched signatures (or their logarithms) of runs of segments, as in
+    _chen; raises NumericError where the truncated series overflow."""
+    if m < 1:
+        raise ValueError(f"degree must be >= 1, got {m}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _chen(d, m, deltas, np.asarray(bounds))
+        if log:
+            out = _log(d, m, out)
+    if not np.all(np.isfinite(out)):
+        what = "log-signature" if log else "signature"
+        raise NumericError(
+            f"degree-{m} {what} overflows: path increments are too large"
+        )
     return out
 
 
@@ -151,10 +208,8 @@ def segment_signature(delta: Sequence[float], m: int) -> TruncTensor:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.ndim != 1 or delta.size < 1:
         raise ValueError(f"increment must be a vector, got shape {delta.shape}")
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
     d = delta.size
-    return TruncTensor(d, m, _exp(d, m, _embed_level1(d, m, delta)))
+    return TruncTensor(d, m, _lifted(d, m, delta[None], [0, 1], log=False)[0])
 
 
 def _window_indices(ts: TimeSeries, window: Optional[Tuple[float, float]]) -> Tuple[int, int]:
@@ -166,14 +221,6 @@ def _window_indices(ts: TimeSeries, window: Optional[Tuple[float, float]]) -> Tu
     return ts.locate(s), ts.locate(t)
 
 
-def _chen(d: int, m: int, deltas: np.ndarray) -> np.ndarray:
-    sig = np.zeros(tensor_dim(d, m))
-    sig[0] = 1.0
-    for delta in deltas:
-        sig = _mul(d, m, sig, _exp(d, m, _embed_level1(d, m, delta)))
-    return sig
-
-
 def chen_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> TruncTensor:
     """Truncated signature over a window whose endpoints are sample times.
 
@@ -181,19 +228,18 @@ def chen_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int
     [s, u] and [u, t] equals the signature of [s, t] for any interior
     sample time u.
     """
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
     i0, i1 = _window_indices(ts, window)
     deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
-    return TruncTensor(ts.dim, m, _chen(ts.dim, m, deltas))
+    return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log=False)[0])
 
 
 def log_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> LieIncrement:
     """Truncated log of the window signature, tagged with the window span."""
     i0, i1 = _window_indices(ts, window)
-    sig = chen_signature(ts, window, m)
-    tensor = TruncTensor(ts.dim, m, _log(ts.dim, m, sig.coeffs))
-    return LieIncrement(tensor, (float(ts.times[i0]), float(ts.times[i1])))
+    deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
+    logsig = _lifted(ts.dim, m, deltas, [0, i1 - i0], log=True)[0]
+    return LieIncrement(TruncTensor(ts.dim, m, logsig),
+                        (float(ts.times[i0]), float(ts.times[i1])))
 
 
 def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAbelianPath:
@@ -210,23 +256,28 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
         raise ValueError("partition must cover the whole series")
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError("partition must be strictly increasing")
-    incs = [
-        log_signature(ts, (part[i], part[i + 1]), m)
+    logs = _lifted(ts.dim, m, ts.increments(), idx, log=True)
+    incs = tuple(
+        LieIncrement(TruncTensor(ts.dim, m, logs[i]), (part[i], part[i + 1]))
         for i in range(part.size - 1)
-    ]
-    return PiecewiseAbelianPath(ts.dim, m, part, tuple(incs))
+    )
+    return PiecewiseAbelianPath(ts.dim, m, part, incs)
+
+
+def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
+    """Rows i = 0..N of the running product exp(L_0) (x) ... (x) exp(L_{i-1})
+    of the interval increments L (one per row of incs)."""
+    out = np.zeros((len(incs) + 1, tensor_dim(d, m)))
+    out[0, 0] = 1.0
+    for i, e in enumerate(_exp(d, m, incs)):
+        out[i + 1] = _mul(d, m, out[i], e)
+    return out
 
 
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
     """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1."""
-    d, m = p.dim, p.degree
-    g = np.zeros(tensor_dim(d, m))
-    g[0] = 1.0
-    out = [TruncTensor(d, m, g.copy())]
-    for inc in p.increments:
-        g = _mul(d, m, g, _exp(d, m, inc.tensor.coeffs))
-        out.append(TruncTensor(d, m, g.copy()))
-    return out
+    rows = _partial_products(p.dim, p.degree, p.increment_matrix())
+    return [TruncTensor(p.dim, p.degree, g) for g in rows]
 
 
 def thin_partition(ts: TimeSeries, every: int) -> np.ndarray:

@@ -9,7 +9,10 @@ a level-p block with a level-q block lands exactly on the level-(p+q) block
 in concatenation order.  Everything in this module relies on that layout.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated.  Coefficients are 64-bit floats throughout.
+allocated.  Coefficients are 64-bit floats throughout.  The raw-array
+primitives (_mul, _exp, _log) broadcast over leading axes, so a stack of
+elements is one array of shape (..., N); every row goes through the same
+elementwise operations as the 1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "ShapeMismatchError",
+    "NumericError",
     "TruncTensor",
     "tensor_dim",
     "unit",
@@ -42,6 +46,10 @@ __all__ = [
 
 class ShapeMismatchError(ValueError):
     """Operands disagree in alphabet size or truncation degree."""
+
+
+class NumericError(ValueError):
+    """A computed quantity, such as a lifted signature, is not finite."""
 
 
 @lru_cache(maxsize=None)
@@ -127,19 +135,20 @@ def linear_combine(alpha: float, a: TruncTensor, beta: float, b: TruncTensor) ->
 
 
 def _mul(d: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product on raw coefficient vectors.
+    """Truncated product on raw coefficient arrays, broadcast over leading axes.
 
     The coefficient of a word w is the sum of a[u]*b[v] over all splits
     w = uv; level blocks are combined by flattened outer products, which
     match concatenation order under the layout of this module.
     """
     offs = _offsets(d, m)
-    c = np.zeros(offs[-1])
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    c = np.zeros(lead + (offs[-1],))
     for k in range(m + 1):
-        ak = a[offs[k]:offs[k + 1]]
+        ak = a[..., offs[k]:offs[k + 1], None]
         for i in range(m + 1 - k):
-            bi = b[offs[i]:offs[i + 1]]
-            c[offs[k + i]:offs[k + i + 1]] += np.multiply.outer(ak, bi).ravel()
+            bi = b[..., None, offs[i]:offs[i + 1]]
+            c[..., offs[k + i]:offs[k + i + 1]] += (ak * bi).reshape(lead + (-1,))
     return c
 
 
@@ -173,11 +182,11 @@ def embed(a: TruncTensor, m: int) -> TruncTensor:
 
 
 def _exp(d: int, m: int, a: np.ndarray) -> np.ndarray:
-    """Truncated exponential of a scalar-free vector, by Horner nesting:
+    """Truncated exponential of scalar-free rows, by Horner nesting:
     exp(a) = 1 + a/1 (1 + a/2 (1 + ... (1 + a/m)))."""
     one = np.zeros(_offsets(d, m)[-1])
     one[0] = 1.0
-    e = one.copy()
+    e = np.broadcast_to(one, a.shape).copy()
     for k in range(m, 0, -1):
         e = one + _mul(d, m, a, e) / k
     return e
@@ -191,13 +200,13 @@ def exp_trunc(a: TruncTensor) -> TruncTensor:
 
 
 def _log(d: int, m: int, g: np.ndarray) -> np.ndarray:
-    """Truncated logarithm of a vector with unit scalar slot, by Horner
+    """Truncated logarithm of rows with unit scalar slot, by Horner
     nesting of log(1+x) = x (1 - x (1/2 - x (1/3 - ...)))."""
     n = _offsets(d, m)[-1]
     if m == 0:
-        return np.zeros(n)
+        return np.zeros(g.shape)
     x = g.copy()
-    x[0] = 0.0
+    x[..., 0] = 0.0
     one = np.zeros(n)
     one[0] = 1.0
     t = ((-1.0) ** (m - 1) / m) * one

@@ -15,6 +15,7 @@ from pabsig import (
     tensor_dim,
     unit,
 )
+from pabsig.tensors import _exp, _log, _mul
 
 
 def rand_tensor(rng, d, m, scale=1.0):
@@ -123,3 +124,23 @@ def series_with_variation(rng, d, n_kinks, total, n_per_segment=1):
     values = np.array(values)
     times = np.linspace(0.0, 1.0, len(values))
     return TimeSeries(times, values)
+
+
+def chen_loop(d, m, deltas):
+    """Signature of consecutive linear segments, one unfused product
+    sig (x) exp(delta) per segment: the reference for the batched lift."""
+    sig = np.zeros(tensor_dim(d, m))
+    sig[0] = 1.0
+    for delta in deltas:
+        step = np.zeros(tensor_dim(d, m))
+        step[1:1 + d] = delta
+        sig = _mul(d, m, sig, _exp(d, m, step))
+    return sig
+
+
+def log_signature_rows(ts, partition, m):
+    """Interval log-signatures on a partition, one chen_loop per interval."""
+    idx = [ts.locate(t) for t in partition]
+    deltas = ts.increments()
+    return np.array([_log(ts.dim, m, chen_loop(ts.dim, m, deltas[a:b]))
+                     for a, b in zip(idx, idx[1:])])

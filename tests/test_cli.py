@@ -312,3 +312,16 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.00000000000\n"
+
+
+def test_lift_overflow_exits_numeric(tmp_path):
+    big = tmp_path / "big.csv"
+    write_series(big, [0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, 2e200], [-1e200, 3e200]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pabsig", "kernel", str(big), str(big), "--degree", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "overflows" in line

@@ -17,6 +17,9 @@ from pabsig import (
     unit,
 )
 
+from pabsig.goursat import _boundary_partials
+from pabsig.tensors import _exp, _mul
+
 from helpers import (
     line_series,
     pa_exact_kernel,
@@ -349,3 +352,30 @@ def test_solution_without_state():
     px = single_segment_pab([1.0, 0.0], 2)
     sol = solve(px, px)
     assert sol.state is None
+
+
+def test_boundary_partials_match_per_interval_loop_bitwise():
+    rng = np.random.default_rng(61)
+    for d, m in ((2, 2), (2, 3), (3, 2)):
+        X = rand_pab(rng, d, m, 6).increment_matrix()
+        want = np.zeros((7, tensor_dim(d, m)))
+        g = unit(d, m).coeffs
+        for i, x in enumerate(X):
+            g = _mul(d, m, g, _exp(d, m, x))
+            want[i + 1] = g
+            want[i + 1, 0] = 0.0
+        assert _boundary_partials(d, m, X).tobytes() == want.tobytes()
+
+
+def test_degree1_solve_takes_the_scalar_sweep():
+    rng = np.random.default_rng(62)
+    tsx = rand_series(rng, 2, 7)
+    tsy = rand_series(rng, 2, 5)
+    px = build_pab(tsx, tsx.times, 1)
+    py = build_pab(tsy, tsy.times, 1)
+    got = solve(px, py)
+    assert got.state is None
+    scalar = solve_order1(px.increment_matrix()[:, 1:], py.increment_matrix()[:, 1:])
+    assert got.value == scalar.value
+    coupled = solve(px, py, keep_state=True).value
+    assert abs(got.value - coupled) <= 1e-12 * max(1.0, abs(coupled))

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pabsig import (
     LieIncrement,
+    NumericError,
     PiecewiseAbelianPath,
     ShapeMismatchError,
     TimeSeries,
@@ -21,7 +24,7 @@ from pabsig import (
     unit,
 )
 
-from helpers import line_series, rand_lie, rand_series
+from helpers import chen_loop, line_series, log_signature_rows, rand_lie, rand_series
 
 
 def test_time_series_validation():
@@ -279,3 +282,41 @@ def test_thin_partition():
     np.testing.assert_array_equal(thin_partition(ts, 1), ts.times)
     with pytest.raises(ValueError):
         thin_partition(ts, 0)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_build_pab_matches_per_segment_chen_loop(d):
+    # 23 segments: every 5 leaves a 3-segment remainder, every 11 a final
+    # one-segment interval, every 1 only one-segment intervals
+    rng = np.random.default_rng(40 + d)
+    ts = rand_series(rng, d, 23)
+    for m in (1, 2, 3, 4):
+        for every in (1, 5, 11):
+            part = thin_partition(ts, every)
+            got = build_pab(ts, part, m).increment_matrix()
+            want = log_signature_rows(ts, part, m)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            # each row is bitwise the lift of its interval alone
+            for i, row in enumerate(got):
+                alone = log_signature(ts, (part[i], part[i + 1]), m).tensor
+                assert row.tobytes() == alone.coeffs.tobytes()
+        sig = chen_signature(ts, None, m).coeffs
+        want = chen_loop(d, m, ts.increments())
+        assert np.abs(sig - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_lift_overflow_raises_numeric_error():
+    ts = TimeSeries([0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, 2e200], [-1e200, 3e200]])
+    lifts = (
+        lambda: build_pab(ts, ts.times, 2),
+        lambda: chen_signature(ts, None, 2),
+        lambda: log_signature(ts, None, 2),
+        lambda: segment_signature([1e200, 2e200], 2),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lift in lifts:
+            with pytest.raises(NumericError, match="overflows"):
+                lift()
+        # level 1 alone stays finite
+        assert np.isfinite(build_pab(ts, ts.times, 1).increment_matrix()).all()

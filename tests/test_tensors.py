@@ -20,6 +20,8 @@ from pabsig import (
     word_index,
 )
 
+from pabsig.tensors import _exp, _log, _mul
+
 from helpers import level_one, rand_scalar_free, rand_tensor
 
 
@@ -320,3 +322,24 @@ def homogeneous(rng, d, m, k):
     hi = tensor_dim(d, k)
     coeffs[lo:hi] = rng.standard_normal(hi - lo)
     return TruncTensor(d, m, coeffs)
+
+
+def test_batched_primitives_match_rows_bitwise():
+    rng = np.random.default_rng(60)
+    for d, m in ((1, 4), (2, 3), (3, 2)):
+        n = tensor_dim(d, m)
+        a = rng.standard_normal((2, 3, n))
+        b = rng.standard_normal((2, 3, n))
+        free = a.copy()
+        free[..., 0] = 0.0
+        group = a.copy()
+        group[..., 0] = 1.0
+        prod = _mul(d, m, a, b)
+        prod_one = _mul(d, m, a, b[0, 0])
+        e = _exp(d, m, free)
+        lg = _log(d, m, group)
+        for r in np.ndindex(2, 3):
+            assert prod[r].tobytes() == _mul(d, m, a[r], b[r]).tobytes()
+            assert prod_one[r].tobytes() == _mul(d, m, a[r], b[0, 0]).tobytes()
+            assert e[r].tobytes() == _exp(d, m, free[r]).tobytes()
+            assert lg[r].tobytes() == _log(d, m, group[r]).tobytes()
