@@ -43,7 +43,7 @@ walk = TimeSeries(times, values)
 
 pab = build_pab(walk, walk.times[::2], 3)
 print(f"\npiecewise-abelian lift: {pab.n_intervals} intervals, degree 3,")
-print(f"  {pab.increment_matrix().shape[1]} coefficients per interval")
+print(f"  {pab.increments.shape[1]} coefficients per interval")
 
 # the partial products of exp(increment) recover the signature at every
 # partition point
@@ -59,4 +59,4 @@ for i, t in enumerate(pab.partition):
 # degree-1 increments are just the displacement between partition points
 lin = build_pab(walk, walk.times[::2], 1)
 print("\ndegree-1 increments (rows) equal the coarse displacements:")
-print(lin.increment_matrix()[:, 1:])
+print(lin.increments[:, 1:])

@@ -35,7 +35,8 @@ higher-level content, and paths whose neighbouring increments all differ
 
 For degree-1 inputs the adjoint contributions to u vanish identically and
 the system collapses to the classical scalar recursion, provided here as a
-fast path (solve_order1) that solve() takes at degree 1.
+fast path (solve_order1) that solve() takes at degree 1.  Both sweeps
+raise NumericError when the kernel value overflows.
 
 Memory: a solve keeps two rows of state unless asked to retain the full
 grids; the vectorized sweep additionally holds two (N_y, N, N) lookup stacks
@@ -51,13 +52,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lift import (
-    LieIncrement,
     PiecewiseAbelianPath,
     TimeSeries,
     _partial_products,
     build_pab,
 )
 from .tensors import (
+    NumericError,
     ShapeMismatchError,
     TruncTensor,
     _concat_tables,
@@ -91,7 +92,7 @@ class GoursatState:
     exactly 0.  Cells not yet computed hold NaN.  x_increments and
     y_increments, when present, are the interval log-signatures of the two
     paths, shape (N_x, N(d, m)) and (N_y, N(d, m)); step() reads the
-    neighbouring increments of a cell from them.
+    increments of a cell and of its neighbouring cells from them.
     """
 
     dim: int
@@ -127,6 +128,14 @@ def _check_compatible(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Non
             f"paths disagree: (d={px.dim}, m={px.degree}) vs "
             f"(d={py.dim}, m={py.degree})"
         )
+
+
+def _finite(value) -> float:
+    """Far-corner value of a sweep, which runs with overflow warnings off."""
+    value = float(value)
+    if not np.isfinite(value):
+        raise NumericError("kernel value is not finite: the sweep overflowed")
+    return value
 
 
 def _gate_flags(level1: np.ndarray, higher: np.ndarray):
@@ -173,20 +182,18 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
     psi = np.full((nx + 1, ny + 1, n), np.nan)
     phi[0, :, :] = 0.0
     psi[:, 0, :] = 0.0
-    X = px.increment_matrix()
-    Y = py.increment_matrix()
-    phi[:, 0, :] = _boundary_partials(d, m, X)
-    psi[0, :, :] = _boundary_partials(d, m, Y)
-    return GoursatState(d, m, u, phi, psi, X, Y)
+    phi[:, 0, :] = _boundary_partials(d, m, px.increments)
+    psi[0, :, :] = _boundary_partials(d, m, py.increments)
+    return GoursatState(d, m, u, phi, psi, px.increments, py.increments)
 
 
-def step(state: GoursatState, i: int, j: int, lx: LieIncrement, ly: LieIncrement) -> None:
+def step(state: GoursatState, i: int, j: int) -> None:
     """Advance one cell, filling corner (i+1, j+1) from its three neighbors.
 
     This is the readable per-cell reference; solve() performs the same
-    arithmetic in vectorized sweeps.  The curvature correction compares lx
-    and ly with the increments of cells (i-1, j) and (i, j-1) recorded on
-    the state.
+    arithmetic in vectorized sweeps.  The cell's increments x_i and y_j
+    come from the state, and the curvature correction compares them with
+    x_{i-1} and y_{j-1} there.
     """
     d, m = state.dim, state.degree
     u, phi, psi = state.u, state.phi, state.psi
@@ -197,8 +204,11 @@ def step(state: GoursatState, i: int, j: int, lx: LieIncrement, ly: LieIncrement
     deps = (u[i, j], u[i, j + 1], u[i + 1, j])
     if any(np.isnan(v) for v in deps):
         raise ValueError(f"dependency cells of ({i + 1}, {j + 1}) not yet computed")
-    x = lx.tensor.coeffs
-    y = ly.tensor.coeffs
+    # this cell's increment and the previous one on each axis; at the first
+    # row or column there is no previous increment
+    xs = state.x_increments[[max(i - 1, 0), i]]
+    ys = state.y_increments[[max(j - 1, 0), j]]
+    x, y = xs[1], ys[1]
     c = float(x @ y)
     rxy = _radj(d, m, x, m, y)
     ryx = _radj(d, m, y, m, x)
@@ -219,10 +229,6 @@ def step(state: GoursatState, i: int, j: int, lx: LieIncrement, ly: LieIncrement
     f4 = (a + f1) * c + (phi[i + 1, j + 1] @ rxy + psi[i + 1, j + 1] @ ryx)
     u_next = a + 0.25 * ((f1 + f4) + (f2 + f3))
 
-    # gate flags of the pair (previous increment, this one) on each axis;
-    # at the first row or column there is no previous increment
-    xs = np.stack([state.x_increments[max(i - 1, 0)], x])
-    ys = np.stack([state.y_increments[max(j - 1, 0)], y])
     pure_x, rep_x = _gate_flags(xs[:, 1:1 + d], xs[:, 1 + d:])
     pure_y, rep_y = _gate_flags(ys[:, 1:1 + d], ys[:, 1 + d:])
     fire_s = i > 0 and rep_x[1] and pure_y[1]
@@ -234,6 +240,7 @@ def step(state: GoursatState, i: int, j: int, lx: LieIncrement, ly: LieIncrement
     u[i + 1, j + 1] = u_next
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
           keep_state: bool = False) -> KernelSolution:
     """Sweep the whole grid and return the kernel value at the far corner.
@@ -247,12 +254,11 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
     At degree 1 the adjoint states never feed back into u, so unless the
     grids are asked for, the value comes from the scalar sweep solve_order1
     on the level-1 coefficients, which agrees with the coupled sweep to
-    rounding.
+    rounding.  Raises NumericError when the kernel value overflows.
     """
     _check_compatible(px, py)
     d, m = px.dim, px.degree
-    X = px.increment_matrix()
-    Y = py.increment_matrix()
+    X, Y = px.increments, py.increments
     if m == 1 and not keep_state:
         return solve_order1(X[:, 1:], Y[:, 1:])
     nx, ny = len(X), len(Y)
@@ -336,10 +342,11 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
         u_prev2 = u_prev
         u_prev, phi_prev, psi_prev = u_new, phi_new, psi_new
 
-    value = float(u_prev[ny])
+    value = _finite(u_prev[ny])
     return KernelSolution(value, state if keep_state else None)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_order1(increments_x: Sequence[Sequence[float]],
                  increments_y: Sequence[Sequence[float]],
                  keep_state: bool = False) -> KernelSolution:
@@ -349,7 +356,8 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
     only the scalar recursion with cell coefficients c[i, j] = <dx_i, dy_j>
     remains.  The grid is swept along anti-diagonals; every cell is a fixed
     function of its neighbors on earlier anti-diagonals, so the result is
-    identical to the row-major sweep.
+    identical to the row-major sweep.  Raises NumericError when the kernel
+    value overflows.
     """
     X = np.asarray(increments_x, dtype=np.float64)
     Y = np.asarray(increments_y, dtype=np.float64)
@@ -389,7 +397,7 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
             dt = np.where(fire_t, (u01 + u[ii, jj - 1]) - 2.0 * u00, 0.0)
             u_next[fire] -= (cc[fire] / 12.0) * (ds[fire] + dt[fire])
         u[ii + 1, jj + 1] = u_next
-    value = float(u[nx, ny])
+    value = _finite(u[nx, ny])
     if keep_state:
         return KernelSolution(value, GoursatState(X.shape[1], 1, u, None, None))
     return KernelSolution(value)

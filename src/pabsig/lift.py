@@ -4,9 +4,9 @@ A sampled path is interpolated piecewise linearly.  Its truncated signature
 over a window is the ordered product of per-segment exponentials (Chen's
 identity), and the truncated logarithm of that product summarizes the window
 as a single Lie element.  A piecewise-abelian path fixes a partition and
-keeps one such log-signature per interval; between partition points the
-description evolves log-linearly.  Degree 1 recovers the piecewise linear
-path itself.
+keeps one such log-signature per interval, as the rows of one
+(n_intervals, N(d, m)) array; between partition points the description
+evolves log-linearly.  Degree 1 recovers the piecewise linear path itself.
 
 All intervals of a path are lifted at once.  One batched kernel steps
 through segment positions and multiplies every interval that still has a
@@ -109,45 +109,48 @@ class LieIncrement:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseAbelianPath:
-    """Partition times plus one interval log-signature per interval."""
+    """Partition times plus one interval log-signature per interval.
+
+    increments holds the log-signatures as rows, shape
+    (n_intervals, N(d, m)): row i describes the path over
+    [partition[i], partition[i+1]] and its scalar column is exactly 0.  The
+    path keeps read-only float64 copies of both arrays, so later writes to
+    the arrays passed in do not reach it.
+    """
 
     dim: int
     degree: int
     partition: np.ndarray
-    increments: Tuple[LieIncrement, ...]
+    increments: np.ndarray
 
     def __post_init__(self):
-        part = np.asarray(self.partition, dtype=np.float64)
-        incs = tuple(self.increments)
+        part = np.array(self.partition, dtype=np.float64)
         if part.ndim != 1 or part.size < 2:
             raise ValueError("partition needs at least 2 points")
         if not np.all(np.diff(part) > 0):
             raise ValueError("partition must be strictly increasing")
+        incs = np.array(self.increments, dtype=np.float64)
+        n = tensor_dim(self.dim, self.degree)
+        if incs.ndim != 2 or incs.shape[1] != n:
+            raise ShapeMismatchError(
+                f"increments have shape {incs.shape}, path (d={self.dim}, "
+                f"m={self.degree}) needs rows of {n} coefficients"
+            )
         if len(incs) != part.size - 1:
             raise ValueError(
                 f"{len(incs)} increments for {part.size - 1} intervals"
             )
-        for i, inc in enumerate(incs):
-            if inc.tensor.dim != self.dim or inc.tensor.degree != self.degree:
-                raise ShapeMismatchError(
-                    f"increment {i} is (d={inc.tensor.dim}, m={inc.tensor.degree}), "
-                    f"path is (d={self.dim}, m={self.degree})"
-                )
-            if inc.span != (part[i], part[i + 1]):
-                raise ValueError(
-                    f"increment {i} spans {inc.span}, interval is "
-                    f"({part[i]}, {part[i + 1]})"
-                )
+        if not np.all(np.isfinite(incs)):
+            raise ValueError("non-finite increment coefficient")
+        if np.any(incs[:, 0] != 0.0):
+            raise ValueError("log-signatures must have scalar slot 0")
+        part.flags.writeable = incs.flags.writeable = False
         object.__setattr__(self, "partition", part)
         object.__setattr__(self, "increments", incs)
 
     @property
     def n_intervals(self) -> int:
         return self.partition.size - 1
-
-    def increment_matrix(self) -> np.ndarray:
-        """Interval log-signatures stacked into shape (n_intervals, N(d, m))."""
-        return np.stack([inc.tensor.coeffs for inc in self.increments])
 
 
 def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -257,11 +260,7 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError("partition must be strictly increasing")
     logs = _lifted(ts.dim, m, ts.increments(), idx, log=True)
-    incs = tuple(
-        LieIncrement(TruncTensor(ts.dim, m, logs[i]), (part[i], part[i + 1]))
-        for i in range(part.size - 1)
-    )
-    return PiecewiseAbelianPath(ts.dim, m, part, incs)
+    return PiecewiseAbelianPath(ts.dim, m, part, logs)
 
 
 def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
@@ -276,7 +275,7 @@ def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
 
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
     """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1."""
-    rows = _partial_products(p.dim, p.degree, p.increment_matrix())
+    rows = _partial_products(p.dim, p.degree, p.increments)
     return [TruncTensor(p.dim, p.degree, g) for g in rows]
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 
 from pabsig import (
-    LieIncrement,
     PiecewiseAbelianPath,
     TimeSeries,
     TruncTensor,
@@ -52,35 +51,26 @@ def rand_lie(rng, d, m, scale=0.4):
 
 def rand_pab(rng, d, m, n_intervals, scale=0.4):
     partition = np.arange(n_intervals + 1, dtype=float)
-    incs = tuple(
-        LieIncrement(rand_lie(rng, d, m, scale), (float(i), float(i + 1)))
-        for i in range(n_intervals)
-    )
-    return PiecewiseAbelianPath(d, m, partition, incs)
+    incs = [rand_lie(rng, d, m, scale).coeffs for _ in range(n_intervals)]
+    return PiecewiseAbelianPath(d, m, partition, np.array(incs))
 
 
 def refine_pab(pab, r):
     """Split every interval of a piecewise-abelian path into r equal parts."""
     t = pab.partition
     partition = []
-    incs = []
-    for i, inc in enumerate(pab.increments):
+    for i in range(pab.n_intervals):
         width = (t[i + 1] - t[i]) / r
-        piece = TruncTensor(pab.dim, pab.degree, inc.tensor.coeffs / r)
-        for s in range(r):
-            lo = t[i] + s * width
-            hi = t[i + 1] if s == r - 1 else t[i] + (s + 1) * width
-            partition.append(lo)
-            incs.append(LieIncrement(piece, (float(lo), float(hi))))
+        partition += [t[i] + s * width for s in range(r)]
     partition.append(t[-1])
-    return PiecewiseAbelianPath(pab.dim, pab.degree, np.array(partition), tuple(incs))
+    incs = np.repeat(pab.increments / r, r, axis=0)
+    return PiecewiseAbelianPath(pab.dim, pab.degree, np.array(partition), incs)
 
 
 def pad_pab(pab, eta):
     """Zero-pad every increment to a higher degree eta."""
-    incs = tuple(
-        LieIncrement(embed(inc.tensor, eta), inc.span) for inc in pab.increments
-    )
+    incs = np.zeros((pab.n_intervals, tensor_dim(pab.dim, eta)))
+    incs[:, :pab.increments.shape[1]] = pab.increments
     return PiecewiseAbelianPath(pab.dim, eta, pab.partition, incs)
 
 
@@ -89,8 +79,9 @@ def pa_exact_kernel(px, py, n_high):
     truncation level, bypassing the PDE solver entirely."""
     def full_sig(pab):
         sig = unit(pab.dim, n_high)
-        for inc in pab.increments:
-            sig = mul_trunc(sig, exp_trunc(embed(inc.tensor, n_high)))
+        for row in pab.increments:
+            inc = TruncTensor(pab.dim, pab.degree, row)
+            sig = mul_trunc(sig, exp_trunc(embed(inc, n_high)))
         return sig
     return inner(full_sig(px), full_sig(py))
 

@@ -325,3 +325,20 @@ def test_lift_overflow_exits_numeric(tmp_path):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ") and "overflows" in line
+
+
+@pytest.mark.parametrize("scale, degree", ((1e200, 1), (1e100, 2)))
+def test_sweep_overflow_exits_numeric(tmp_path, scale, degree):
+    # both lifts stay finite; the kernel sweep overflows
+    big = tmp_path / "big.csv"
+    write_series(big, [0.0, 1.0, 2.0],
+                 [[0.0, 0.0], [scale, 2 * scale], [-scale, 3 * scale]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "pabsig", "kernel", str(big), str(big),
+         "--degree", str(degree)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "not finite" in line

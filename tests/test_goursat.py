@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from pabsig import (
-    LieIncrement,
     PiecewiseAbelianPath,
     ShapeMismatchError,
     TimeSeries,
-    TruncTensor,
     build_pab,
     init_boundaries,
     kernel,
@@ -49,7 +47,7 @@ def manual_sweep(px, py):
     state = init_boundaries(px, py)
     for i in range(px.n_intervals):
         for j in range(py.n_intervals):
-            step(state, i, j, px.increments[i], py.increments[j])
+            step(state, i, j)
     return state
 
 
@@ -116,14 +114,12 @@ def test_step_requires_dependencies():
     py = single_segment_pab([1.0, 0.0], 2)
     state = init_boundaries(px, py)
     with pytest.raises(ValueError):
-        step(state, 1, 1, px.increments[1], py.increments[1])
+        step(state, 1, 1)
 
 
 def test_step_zero_x_increment():
     d, m = 2, 2
-    zero = TruncTensor(d, m, np.zeros(tensor_dim(d, m)))
-    lx = LieIncrement(zero, (0.0, 1.0))
-    px = PiecewiseAbelianPath(d, m, [0.0, 1.0], (lx,))
+    px = PiecewiseAbelianPath(d, m, [0.0, 1.0], np.zeros((1, tensor_dim(d, m))))
     rng = np.random.default_rng(23)
     py = rand_pab(rng, d, m, 1)
     state = manual_sweep(px, py)
@@ -169,10 +165,7 @@ def test_solve_single_row_and_column():
 
 def test_solve_trivial_paths():
     d, m = 2, 2
-    zero = TruncTensor(d, m, np.zeros(tensor_dim(d, m)))
-    incs = tuple(
-        LieIncrement(zero, (float(i), float(i + 1))) for i in range(3)
-    )
+    incs = np.zeros((3, tensor_dim(d, m)))
     p = PiecewiseAbelianPath(d, m, [0.0, 1.0, 2.0, 3.0], incs)
     assert solve(p, p).value == 1.0
 
@@ -314,8 +307,8 @@ def test_curvature_correction_fires_on_repeated_increments():
     rng = np.random.default_rng(33)
     px = refine_pab(rand_pab(rng, 2, 1, 2), 8)
     py = refine_pab(rand_pab(rng, 2, 1, 2), 8)
-    X = px.increment_matrix()[:, 1:]
-    Y = py.increment_matrix()[:, 1:]
+    X = px.increments[:, 1:]
+    Y = py.increments[:, 1:]
     want = pa_exact_kernel(px, py, 12)
     corrected = solve_order1(X, Y).value
     plain = float(four_point_sweep(X, Y)[-1, -1])
@@ -357,7 +350,7 @@ def test_solution_without_state():
 def test_boundary_partials_match_per_interval_loop_bitwise():
     rng = np.random.default_rng(61)
     for d, m in ((2, 2), (2, 3), (3, 2)):
-        X = rand_pab(rng, d, m, 6).increment_matrix()
+        X = rand_pab(rng, d, m, 6).increments
         want = np.zeros((7, tensor_dim(d, m)))
         g = unit(d, m).coeffs
         for i, x in enumerate(X):
@@ -375,7 +368,7 @@ def test_degree1_solve_takes_the_scalar_sweep():
     py = build_pab(tsy, tsy.times, 1)
     got = solve(px, py)
     assert got.state is None
-    scalar = solve_order1(px.increment_matrix()[:, 1:], py.increment_matrix()[:, 1:])
+    scalar = solve_order1(px.increments[:, 1:], py.increments[:, 1:])
     assert got.value == scalar.value
     coupled = solve(px, py, keep_state=True).value
     assert abs(got.value - coupled) <= 1e-12 * max(1.0, abs(coupled))

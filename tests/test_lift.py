@@ -184,19 +184,38 @@ def test_lie_increment_validation():
 
 
 def test_pab_validation():
-    zero = TruncTensor(2, 2, np.zeros(7))
-    inc0 = LieIncrement(zero, (0.0, 1.0))
-    inc1 = LieIncrement(zero, (1.0, 2.0))
-    p = PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], (inc0, inc1))
+    part = [0.0, 1.0, 2.0]
+    times, incs = np.array(part), np.zeros((2, 7))
+    p = PiecewiseAbelianPath(2, 2, times, incs)
     assert p.n_intervals == 2
-    assert p.increment_matrix().shape == (2, 7)
+    assert p.increments.shape == (2, 7)
+    assert p.increments.dtype == np.float64
+    # the path keeps its own read-only copies
     with pytest.raises(ValueError):
-        PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], (inc0,))
+        p.increments[0, 1] = 1.0
     with pytest.raises(ValueError):
-        PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], (inc1, inc0))
-    wrong_degree = LieIncrement(TruncTensor(2, 3, np.zeros(15)), (0.0, 1.0))
-    with pytest.raises(ShapeMismatchError):
-        PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], (wrong_degree, inc1))
+        p.partition[1] = 5.0
+    incs[0, 1] = 1.0
+    times[1] = 5.0
+    assert not p.increments.any()
+    np.testing.assert_array_equal(p.partition, part)
+
+    def rejected(error, partition, increments, match):
+        with pytest.raises(error, match=match) as info:
+            PiecewiseAbelianPath(2, 2, partition, increments)
+        assert info.type is error
+
+    rejected(ValueError, part, np.zeros((1, 7)), "1 increments for 2 intervals")
+    rejected(ShapeMismatchError, part, np.zeros((2, 15)), "rows of 7")
+    scalar = np.zeros((2, 7))
+    scalar[1, 0] = 1.0
+    rejected(ValueError, part, scalar, "scalar slot 0")
+    for bad in (np.nan, np.inf):
+        nonfinite = np.zeros((2, 7))
+        nonfinite[0, 3] = bad
+        rejected(ValueError, part, nonfinite, "non-finite")
+    for partition in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        rejected(ValueError, partition, np.zeros((2, 7)), "strictly increasing")
 
 
 def test_build_pab_full_grid_degree_one():
@@ -205,9 +224,9 @@ def test_build_pab_full_grid_degree_one():
     p = build_pab(ts, ts.times, 1)
     assert p.n_intervals == 6
     np.testing.assert_allclose(
-        p.increment_matrix()[:, 1:], ts.increments(), rtol=1e-15, atol=1e-15
+        p.increments[:, 1:], ts.increments(), rtol=1e-15, atol=1e-15
     )
-    assert not p.increment_matrix()[:, 0].any()
+    assert not p.increments[:, 0].any()
 
 
 def test_build_pab_single_interval_matches_log_signature():
@@ -215,7 +234,7 @@ def test_build_pab_single_interval_matches_log_signature():
     ts = rand_series(rng, 2, 5)
     p = build_pab(ts, [ts.times[0], ts.times[-1]], 3)
     want = log_signature(ts, None, 3).tensor
-    np.testing.assert_array_equal(p.increments[0].tensor.coeffs, want.coeffs)
+    np.testing.assert_array_equal(p.increments[0], want.coeffs)
 
 
 def test_build_pab_rejects_bad_partitions():
@@ -258,8 +277,8 @@ def test_pab_increments_are_lie_at_degree_two():
     rng = np.random.default_rng(18)
     ts = rand_series(rng, 2, 6)
     p = build_pab(ts, ts.times[::3], 2)
-    for inc in p.increments:
-        lev2 = inc.tensor.level(2).reshape(2, 2)
+    for row in p.increments:
+        lev2 = TruncTensor(2, 2, row).level(2).reshape(2, 2)
         np.testing.assert_allclose(lev2, -lev2.T, atol=1e-15)
 
 
@@ -293,7 +312,7 @@ def test_build_pab_matches_per_segment_chen_loop(d):
     for m in (1, 2, 3, 4):
         for every in (1, 5, 11):
             part = thin_partition(ts, every)
-            got = build_pab(ts, part, m).increment_matrix()
+            got = build_pab(ts, part, m).increments
             want = log_signature_rows(ts, part, m)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             # each row is bitwise the lift of its interval alone
@@ -319,4 +338,4 @@ def test_lift_overflow_raises_numeric_error():
             with pytest.raises(NumericError, match="overflows"):
                 lift()
         # level 1 alone stays finite
-        assert np.isfinite(build_pab(ts, ts.times, 1).increment_matrix()).all()
+        assert np.isfinite(build_pab(ts, ts.times, 1).increments).all()
