@@ -33,10 +33,11 @@ error falls about 8x per mesh halving on such pieces.  Cells with genuine
 higher-level content, and paths whose neighbouring increments all differ
 (sampled Brownian paths, say), get the plain four-point update.
 
-For degree-1 inputs the adjoint contributions to u vanish identically and
-the system collapses to the classical scalar recursion, provided here as a
-fast path (solve_order1) that solve() takes at degree 1.  Both sweeps
-raise NumericError when the kernel value overflows.
+The u update is written once, in _corner, which step(), solve() and
+solve_order1() share.  For degree-1 inputs the adjoint contributions to u
+vanish identically and the system collapses to the classical scalar
+recursion, provided here as a fast path (solve_order1) that solve() takes
+at degree 1.  Both sweeps raise NumericError when the kernel value overflows.
 
 Memory: a solve keeps two rows of state unless asked to retain the full
 grids; the vectorized sweep additionally holds two (N_y, N, N) lookup stacks
@@ -156,6 +157,26 @@ def _gate_flags(level1: np.ndarray, higher: np.ndarray):
     return pure, repeat
 
 
+def _corner(u00, u01, u10, c, g=None, curv=None):
+    """u at the new corner (i+1, j+1) of cells with coefficient c = <x_i, y_j>.
+
+    The one cell update, elementwise on floats or on arrays of cells.  u00,
+    u01, u10 are u at the corners (i, j), (i, j+1), (i+1, j); g holds the
+    adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> there and at the new
+    corner, or None at degree 1, where they vanish; curv is the fired
+    D_s + D_t, or None where no cell fires.
+    """
+    a = u10 + u01 - u00
+    f1, f2, f3 = u00 * c, u01 * c, u10 * c
+    if g is not None:
+        f1, f2, f3 = f1 + g[0], f2 + g[1], f3 + g[2]
+    f4 = (a + f1) * c
+    if g is not None:
+        f4 = f4 + g[3]
+    u = a + 0.25 * ((f1 + f4) + (f2 + f3))
+    return u if curv is None else u - (c / 12.0) * curv
+
+
 def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running signature with scalar slot zeroed,
     i.e. the group partial products minus 1."""
@@ -191,24 +212,21 @@ def step(state: GoursatState, i: int, j: int) -> None:
     """Advance one cell, filling corner (i+1, j+1) from its three neighbors.
 
     This is the readable per-cell reference; solve() performs the same
-    arithmetic in vectorized sweeps.  The cell's increments x_i and y_j
-    come from the state, and the curvature correction compares them with
-    x_{i-1} and y_{j-1} there.
+    arithmetic in vectorized sweeps, and both take u at the new corner from
+    _corner.  The cell's increments x_i and y_j come from the state, and
+    the curvature correction compares them with x_{i-1} and y_{j-1} there.
     """
     d, m = state.dim, state.degree
     u, phi, psi = state.u, state.phi, state.psi
+    X, Y = state.x_increments, state.y_increments
     if phi is None or psi is None:
         raise ValueError("state lacks adjoint grids; use init_boundaries")
-    if state.x_increments is None or state.y_increments is None:
+    if X is None or Y is None:
         raise ValueError("state lacks the path increments; use init_boundaries")
     deps = (u[i, j], u[i, j + 1], u[i + 1, j])
     if any(np.isnan(v) for v in deps):
         raise ValueError(f"dependency cells of ({i + 1}, {j + 1}) not yet computed")
-    # this cell's increment and the previous one on each axis; at the first
-    # row or column there is no previous increment
-    xs = state.x_increments[[max(i - 1, 0), i]]
-    ys = state.y_increments[[max(j - 1, 0), j]]
-    x, y = xs[1], ys[1]
+    x, y = X[i], Y[j]
     c = float(x @ y)
     rxy = _radj(d, m, x, m, y)
     ryx = _radj(d, m, y, m, x)
@@ -222,22 +240,13 @@ def step(state: GoursatState, i: int, j: int) -> None:
     ps[0] = 0.0
     psi[i + 1, j + 1] = ps
 
-    f1 = u[i, j] * c + (phi[i, j] @ rxy + psi[i, j] @ ryx)
-    f2 = u[i, j + 1] * c + (phi[i, j + 1] @ rxy + psi[i, j + 1] @ ryx)
-    f3 = u[i + 1, j] * c + (phi[i + 1, j] @ rxy + psi[i + 1, j] @ ryx)
-    a = u[i + 1, j] + u[i, j + 1] - u[i, j]
-    f4 = (a + f1) * c + (phi[i + 1, j + 1] @ rxy + psi[i + 1, j + 1] @ ryx)
-    u_next = a + 0.25 * ((f1 + f4) + (f2 + f3))
-
-    pure_x, rep_x = _gate_flags(xs[:, 1:1 + d], xs[:, 1 + d:])
-    pure_y, rep_y = _gate_flags(ys[:, 1:1 + d], ys[:, 1 + d:])
-    fire_s = i > 0 and rep_x[1] and pure_y[1]
-    fire_t = j > 0 and rep_y[1] and pure_x[1]
-    if fire_s or fire_t:
-        ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if fire_s else 0.0
-        dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if fire_t else 0.0
-        u_next -= (c / 12.0) * (ds + dt)
-    u[i + 1, j + 1] = u_next
+    g = [phi[k] @ rxy + psi[k] @ ryx
+         for k in ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))]
+    pure_x, rep_x = _gate_flags(X[:, 1:1 + d], X[:, 1 + d:])
+    pure_y, rep_y = _gate_flags(Y[:, 1:1 + d], Y[:, 1 + d:])
+    ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] and pure_y[j] else 0.0
+    dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] and pure_x[i] else 0.0
+    u[i + 1, j + 1] = _corner(u[i, j], u[i, j + 1], u[i + 1, j], c, g, ds + dt)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -247,9 +256,9 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
 
     The sweep runs row by row: the phi row and the corner terms that depend
     only on the previous row are vectorized over columns, then psi and u
-    march sequentially along the row.  Each cell sees exactly the update of
-    step(), so the output is deterministic and reproducible bit-for-bit for
-    identical inputs.
+    march sequentially along the row.  Each cell gets the update of step()
+    from the same _corner, so the output is deterministic and reproducible
+    bit-for-bit for identical inputs.
 
     At degree 1 the adjoint states never feed back into u, so unless the
     grids are asked for, the value comes from the scalar sweep solve_order1
@@ -302,10 +311,10 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
                        + phi_prev[1:] @ mx.T)
         phi_new[1:, 0] = 0.0
 
-        f1 = u_prev[:-1] * c_row + (np.einsum('jn,jn->j', phi_prev[:-1], r_xy)
-                                    + np.einsum('jn,jn->j', psi_prev[:-1], r_yx))
-        f2 = u_prev[1:] * c_row + (np.einsum('jn,jn->j', phi_prev[1:], r_xy)
-                                   + np.einsum('jn,jn->j', psi_prev[1:], r_yx))
+        g1 = (np.einsum('jn,jn->j', phi_prev[:-1], r_xy)
+              + np.einsum('jn,jn->j', psi_prev[:-1], r_yx))
+        g2 = (np.einsum('jn,jn->j', phi_prev[1:], r_xy)
+              + np.einsum('jn,jn->j', psi_prev[1:], r_yx))
         pre3 = np.einsum('jn,jn->j', phi_new[:-1], r_xy)
         pre4 = np.einsum('jn,jn->j', phi_new[1:], r_xy)
         bpsi = u_prev[:-1, None] * Y + np.einsum('juv,ju->jv', Sy, phi_new[:-1])
@@ -323,16 +332,15 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
             psi_next = (psi_cur + bpsi[j]) + My[j] @ psi_cur
             psi_next[0] = 0.0
             psi_new[j + 1] = psi_next
-            a = u_new[j] + u_prev[j + 1] - u_prev[j]
-            f3 = u_new[j] * c_row[j] + (pre3[j] + psi_cur @ r_yx[j])
-            f4 = (a + f1[j]) * c_row[j] + (pre4[j] + psi_next @ r_yx[j])
-            u_next = a + 0.25 * ((f1[j] + f4) + (f2[j] + f3))
+            g = (g1[j], g2[j], pre3[j] + psi_cur @ r_yx[j],
+                 pre4[j] + psi_next @ r_yx[j])
+            curv = None
             if fire_s[j] or fire_t[j]:
                 ds = ((u_new[j] + u_prev2[j]) - 2.0 * u_prev[j]
                       if fire_s[j] else 0.0)
-                dt = dt_row[j] if fire_t[j] else 0.0
-                u_next -= (c_row[j] / 12.0) * (ds + dt)
-            u_new[j + 1] = u_next
+                curv = ds + (dt_row[j] if fire_t[j] else 0.0)
+            u_new[j + 1] = _corner(u_prev[j], u_prev[j + 1], u_new[j],
+                                   c_row[j], g, curv)
             psi_cur = psi_next
 
         if keep_state:
@@ -354,10 +362,10 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
 
     For level-1 increments the adjoint states never feed back into u, so
     only the scalar recursion with cell coefficients c[i, j] = <dx_i, dy_j>
-    remains.  The grid is swept along anti-diagonals; every cell is a fixed
-    function of its neighbors on earlier anti-diagonals, so the result is
-    identical to the row-major sweep.  Raises NumericError when the kernel
-    value overflows.
+    remains.  Each anti-diagonal is one _corner call without adjoint terms;
+    its cells depend only on earlier anti-diagonals, so the result equals
+    the row-major sweep.  Non-finite increments raise ValueError, an
+    overflowing kernel value NumericError.
     """
     X = np.asarray(increments_x, dtype=np.float64)
     Y = np.asarray(increments_y, dtype=np.float64)
@@ -369,6 +377,8 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
         raise ShapeMismatchError(
             f"state dimension mismatch: {X.shape[1]} vs {Y.shape[1]}"
         )
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("non-finite increment coefficient")
     c = X @ Y.T
     nx, ny = c.shape
     _, rep_x = _gate_flags(X, X[:, :0])
@@ -379,24 +389,16 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
         hi = min(nx - 1, p)
         ii = np.arange(lo, hi + 1)
         jj = p - ii
-        cc = c[ii, jj]
         u00 = u[ii, jj]
         u01 = u[ii, jj + 1]
         u10 = u[ii + 1, jj]
-        a = u10 + u01 - u00
-        f1 = u00 * cc
-        f2 = u01 * cc
-        f3 = u10 * cc
-        f4 = (a + f1) * cc
-        u_next = a + 0.25 * ((f1 + f4) + (f2 + f3))
         fire_s = rep_x[ii]
         fire_t = rep_y[jj]
-        fire = fire_s | fire_t
-        if fire.any():
-            ds = np.where(fire_s, (u10 + u[ii - 1, jj]) - 2.0 * u00, 0.0)
-            dt = np.where(fire_t, (u01 + u[ii, jj - 1]) - 2.0 * u00, 0.0)
-            u_next[fire] -= (cc[fire] / 12.0) * (ds[fire] + dt[fire])
-        u[ii + 1, jj + 1] = u_next
+        curv = None
+        if (fire_s | fire_t).any():
+            curv = (np.where(fire_s, (u10 + u[ii - 1, jj]) - 2.0 * u00, 0.0)
+                    + np.where(fire_t, (u01 + u[ii, jj - 1]) - 2.0 * u00, 0.0))
+        u[ii + 1, jj + 1] = _corner(u00, u01, u10, c[ii, jj], curv=curv)
     value = _finite(u[nx, ny])
     if keep_state:
         return KernelSolution(value, GoursatState(X.shape[1], 1, u, None, None))

@@ -50,14 +50,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Strictly increasing timestamps with d-dimensional samples."""
+    """Strictly increasing timestamps with d-dimensional samples.
+
+    The series keeps read-only float64 copies of both arrays, so later
+    writes to the arrays passed in do not reach it.
+    """
 
     times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        times = np.array(self.times, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if times.ndim != 1 or times.size < 2:
             raise ValueError(f"need at least 2 samples, got times shape {times.shape}")
         if values.ndim != 2 or values.shape[0] != times.size:
@@ -68,6 +72,7 @@ class TimeSeries:
             raise ValueError("non-finite sample")
         if not np.all(np.diff(times) > 0):
             raise ValueError("timestamps must be strictly increasing")
+        times.flags.writeable = values.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pabsig import (
+    NumericError,
     PiecewiseAbelianPath,
     ShapeMismatchError,
     TimeSeries,
@@ -320,6 +321,11 @@ def test_solve_order1_validation():
         solve_order1([1.0, 2.0], [[1.0]])
     with pytest.raises(ShapeMismatchError):
         solve_order1([[1.0, 0.0]], [[1.0]])
+    # bad input, not an overflow of the sweep
+    for X, Y in (([[np.nan]], [[1.0]]), ([[1.0]], [[1.0], [np.inf]])):
+        with pytest.raises(ValueError, match="non-finite") as err:
+            solve_order1(X, Y)
+        assert not isinstance(err.value, NumericError)
 
 
 def test_kernel_wrapper():

@@ -52,6 +52,17 @@ def test_time_series_basics():
         ts.locate(3.0)
 
 
+def test_time_series_keeps_read_only_copies():
+    t = np.array([0.0, 1.0, 2.0])
+    v = np.zeros((3, 1))
+    ts = TimeSeries(t, v)
+    t[1] = 5.0
+    v[0, 0] = 7.0
+    np.testing.assert_array_equal(ts.times, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(ts.values, np.zeros((3, 1)))
+    assert not ts.times.flags.writeable and not ts.values.flags.writeable
+
+
 def test_segment_signature_zero():
     sig = segment_signature([0.0, 0.0], 3)
     np.testing.assert_array_equal(sig.coeffs, unit(2, 3).coeffs)
