@@ -25,6 +25,7 @@ from .goursat import (
     kernel,
     solve,
     solve_order1,
+    solve_pairs,
     step,
 )
 from .lift import (

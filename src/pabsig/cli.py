@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -45,13 +46,43 @@ def _read_series(path: str) -> TimeSeries:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise _ParseFailure(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    data = _parse_rows(path, text)
+    return TimeSeries(data[:, 0], data[:, 1:])
+
+
+def _header_dim(path: str, fields) -> int:
+    header = [h.strip() for h in fields]
     d = len(header) - 1
     if d < 1 or header[0] != "time" or header[1:] != [f"x{i}" for i in range(1, d + 1)]:
         raise _ParseFailure(f"{path}: header must be time,x1,...,xd")
+    return d
+
+
+def _parse_rows(path: str, text: str) -> np.ndarray:
+    """Data rows of a series CSV as one (n, d+1) float64 array.
+
+    A plain file (header on the first line, no quotes, no carriage
+    returns) holds one CSV row per line, so numpy parses its body in one
+    call; numpy accepts a subset of what float() accepts and reads it to
+    the same value.  Any other file, and any body numpy rejects, is read
+    row by row with csv and float(), which also names the failing line.
+    """
+    head, _, body = text.partition("\n")
+    if head and '"' not in text and "\r" not in text:
+        d = _header_dim(path, head.split(","))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # a body without rows warns
+                data = np.loadtxt(io.StringIO(body), delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and len(data) and data.shape[1] == d + 1:
+            return data
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows:
+        raise _ParseFailure(f"{path}: empty file")
+    d = _header_dim(path, rows[0])
     data = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != d + 1:
@@ -62,8 +93,7 @@ def _read_series(path: str) -> TimeSeries:
             raise _ParseFailure(f"{path}:{lineno}: non-numeric field")
     if not data:
         raise _ParseFailure(f"{path}: no data rows")
-    arr = np.array(data)
-    return TimeSeries(arr[:, 0], arr[:, 1:])
+    return np.array(data)
 
 
 def _emit(text: str, output: Optional[str]) -> None:

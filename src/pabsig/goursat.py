@@ -39,10 +39,16 @@ vanish identically and the system collapses to the classical scalar
 recursion, provided here as a fast path (solve_order1) that solve() takes
 at degree 1.  Both sweeps raise NumericError when the kernel value overflows.
 
-Memory: a solve keeps two rows of state unless asked to retain the full
-grids; the vectorized sweep additionally holds two (N_y, N, N) lookup stacks
-where N is the number of tensor coefficients, so very long second partitions
-at high degree are the expensive direction.
+Both sweeps carry a leading pair axis: solve_pairs() sweeps B pairs of one
+shape together, and solve() and solve_order1() are its B = 1 case, so a
+pair gives the same bits alone and in any batch.
+
+Memory: a coupled sweep keeps two rows of state, the adjoint states as
+(B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
+one (B, 2N, N) matrix of the current x increment; the scalar sweep keeps the
+(B, N_x, N_y) cell coefficients and four anti-diagonals of u.  The full
+grids exist only when asked for.  solve_pairs() splits a group of pairs so
+that one call holds at most about _BATCH_VALUES float64 values (4 MiB).
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ from .tensors import (
     _concat_tables,
     _ladj,
     _mul,
+    _offsets,
     _radj,
     tensor_dim,
 )
@@ -73,12 +80,19 @@ from .tensors import (
 # content above level 1, for the curvature correction.
 _ROUNDING = 1e-12
 
+# Working set, in float64 values, that one pair-batched sweep call may hold;
+# solve_pairs() runs larger groups of pairs in consecutive chunks.  Per pair
+# the scalar sweep holds the N_x x N_y cell coefficients, and the coupled
+# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 11-19).
+_BATCH_VALUES = 1 << 19
+
 __all__ = [
     "GoursatState",
     "KernelSolution",
     "init_boundaries",
     "step",
     "solve",
+    "solve_pairs",
     "solve_order1",
     "kernel",
 ]
@@ -131,29 +145,29 @@ def _check_compatible(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Non
         )
 
 
-def _finite(value) -> float:
-    """Far-corner value of a sweep, which runs with overflow warnings off."""
-    value = float(value)
-    if not np.isfinite(value):
+def _finite(values: np.ndarray) -> np.ndarray:
+    """Far-corner values of a sweep, which runs with overflow warnings off."""
+    if not np.isfinite(values).all():
         raise NumericError("kernel value is not finite: the sweep overflowed")
-    return value
+    return values
 
 
 def _gate_flags(level1: np.ndarray, higher: np.ndarray):
     """Per-interval flags (pure, repeat) of the curvature correction.
 
     level1 and higher hold the level-1 and the level >= 2 coefficients of
-    the interval increments, one row per interval.  pure[k] marks rows with
-    no content above level 1; repeat[k] marks pure rows equal to the pure
-    row k-1, i.e. intervals k-1 and k lie on the same linear piece.  Both
-    hold up to rounding, relative to the size of the level-1 part.
+    the interval increments, one row per interval (leading axes hold other
+    paths).  pure[k] marks rows with no content above level 1; repeat[k]
+    marks pure rows equal to the pure row k-1, i.e. intervals k-1 and k lie
+    on the same linear piece.  Both hold up to rounding, relative to the
+    size of the level-1 part.
     """
-    size = np.abs(level1).max(axis=1, initial=0.0)
-    pure = np.abs(higher).max(axis=1, initial=0.0) <= _ROUNDING * size
-    gap = np.abs(np.diff(level1, axis=0)).max(axis=1, initial=0.0)
+    size = np.abs(level1).max(axis=-1, initial=0.0)
+    pure = np.abs(higher).max(axis=-1, initial=0.0) <= _ROUNDING * size
+    gap = np.abs(np.diff(level1, axis=-2)).max(axis=-1, initial=0.0)
     repeat = np.zeros_like(pure)
-    repeat[1:] = (pure[1:] & pure[:-1]
-                  & (gap <= _ROUNDING * np.maximum(size[1:], size[:-1])))
+    repeat[..., 1:] = (pure[..., 1:] & pure[..., :-1]
+                       & (gap <= _ROUNDING * np.maximum(size[..., 1:], size[..., :-1])))
     return pure, repeat
 
 
@@ -179,9 +193,9 @@ def _corner(u00, u01, u10, c, g=None, curv=None):
 
 def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running signature with scalar slot zeroed,
-    i.e. the group partial products minus 1."""
+    i.e. the group partial products minus 1 (leading axes hold other paths)."""
     out = _partial_products(d, m, incs)
-    out[:, 0] = 0.0
+    out[..., 0] = 0.0
     return out
 
 
@@ -249,16 +263,15 @@ def step(state: GoursatState, i: int, j: int) -> None:
     u[i + 1, j + 1] = _corner(u[i, j], u[i, j + 1], u[i + 1, j], c, g, ds + dt)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
           keep_state: bool = False) -> KernelSolution:
     """Sweep the whole grid and return the kernel value at the far corner.
 
-    The sweep runs row by row: the phi row and the corner terms that depend
-    only on the previous row are vectorized over columns, then psi and u
-    march sequentially along the row.  Each cell gets the update of step()
-    from the same _corner, so the output is deterministic and reproducible
-    bit-for-bit for identical inputs.
+    This is the one-pair case of the sweep of solve_pairs(), so a pair
+    gives the same bits here as inside any batch.  Each row runs in two
+    passes: phi, psi and the adjoint terms of the row are computed for all
+    columns at once (psi by a prefix sum per tensor level), then u marches
+    along the row through _corner, the update of step().
 
     At degree 1 the adjoint states never feed back into u, so unless the
     grids are asked for, the value comes from the scalar sweep solve_order1
@@ -266,95 +279,190 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
     rounding.  Raises NumericError when the kernel value overflows.
     """
     _check_compatible(px, py)
-    d, m = px.dim, px.degree
     X, Y = px.increments, py.increments
-    if m == 1 and not keep_state:
+    if px.degree == 1 and not keep_state:
         return solve_order1(X[:, 1:], Y[:, 1:])
-    nx, ny = len(X), len(Y)
-    n = X.shape[1]
-    cat, ok, rows, cols, srcs = _concat_tables(d, m)
+    state = init_boundaries(px, py) if keep_state else None
+    values = _sweep(px.dim, px.degree, X[None], Y[None], state)
+    return KernelSolution(float(_finite(values)[0]), state)
 
-    # Column-axis lookup stacks: Sy[j] reads suffixes of y_j, My[j] is
-    # right multiplication by y_j.
-    Sy = Y[:, cat] * ok
-    My = np.zeros((ny, n, n))
-    My[:, rows, cols] = Y[:, srcs]
 
-    phi_bnd = _boundary_partials(d, m, X)
-    psi_bnd = _boundary_partials(d, m, Y)
-    pure_x, rep_x = _gate_flags(X[:, 1:1 + d], X[:, 1 + d:])
-    pure_y, rep_y = _gate_flags(Y[:, 1:1 + d], Y[:, 1 + d:])
+def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
+                pys: Sequence[PiecewiseAbelianPath]) -> np.ndarray:
+    """Kernel values of the pairs (pxs[k], pys[k]), as one float64 array.
 
-    if keep_state:
-        state = init_boundaries(px, py)
-        u_grid, phi_grid, psi_grid = state.u, state.phi, state.psi
-
-    u_prev = np.ones(ny + 1)
-    u_prev2 = u_prev                            # row i-1, read once i > 0
-    phi_prev = np.zeros((ny + 1, n))
-    psi_prev = psi_bnd.copy()
-    sx = np.empty((n, n))
-    mx = np.zeros((n, n))
-
-    for i in range(nx):
-        x = X[i]
-        np.multiply(x[cat], ok, out=sx)
-        mx[rows, cols] = x[srcs]
-        c_row = Y @ x
-        r_yx = Y @ sx.T                        # rows j: R*_{y_j}(x)
-        r_xy = np.einsum('juv,v->ju', Sy, x)   # rows j: R*_x(y_j)
-
-        phi_new = np.empty((ny + 1, n))
-        phi_new[0] = phi_bnd[i + 1]
-        phi_new[1:] = (phi_prev[1:]
-                       + (u_prev[:-1, None] * x + psi_prev[1:] @ sx)
-                       + phi_prev[1:] @ mx.T)
-        phi_new[1:, 0] = 0.0
-
-        g1 = (np.einsum('jn,jn->j', phi_prev[:-1], r_xy)
-              + np.einsum('jn,jn->j', psi_prev[:-1], r_yx))
-        g2 = (np.einsum('jn,jn->j', phi_prev[1:], r_xy)
-              + np.einsum('jn,jn->j', psi_prev[1:], r_yx))
-        pre3 = np.einsum('jn,jn->j', phi_new[:-1], r_xy)
-        pre4 = np.einsum('jn,jn->j', phi_new[1:], r_xy)
-        bpsi = u_prev[:-1, None] * Y + np.einsum('juv,ju->jv', Sy, phi_new[:-1])
-        fire_s = rep_x[i] & pure_y
-        fire_t = rep_y & pure_x[i]
-        dt_row = np.zeros(ny)
-        dt_row[1:] = (u_prev[2:] + u_prev[:-2]) - 2.0 * u_prev[1:-1]
-
-        psi_new = np.empty((ny + 1, n))
-        psi_new[0] = 0.0
-        u_new = np.empty(ny + 1)
-        u_new[0] = 1.0
-        psi_cur = psi_new[0]
-        for j in range(ny):
-            psi_next = (psi_cur + bpsi[j]) + My[j] @ psi_cur
-            psi_next[0] = 0.0
-            psi_new[j + 1] = psi_next
-            g = (g1[j], g2[j], pre3[j] + psi_cur @ r_yx[j],
-                 pre4[j] + psi_next @ r_yx[j])
-            curv = None
-            if fire_s[j] or fire_t[j]:
-                ds = ((u_new[j] + u_prev2[j]) - 2.0 * u_prev[j]
-                      if fire_s[j] else 0.0)
-                curv = ds + (dt_row[j] if fire_t[j] else 0.0)
-            u_new[j + 1] = _corner(u_prev[j], u_prev[j + 1], u_new[j],
-                                   c_row[j], g, curv)
-            psi_cur = psi_next
-
-        if keep_state:
-            u_grid[i + 1] = u_new
-            phi_grid[i + 1] = phi_new
-            psi_grid[i + 1] = psi_new
-        u_prev2 = u_prev
-        u_prev, phi_prev, psi_prev = u_new, phi_new, psi_new
-
-    value = _finite(u_prev[ny])
-    return KernelSolution(value, state if keep_state else None)
+    Pairs of one (d, m, N_x, N_y) shape are swept together, each numpy call
+    serving all of them, in consecutive chunks of at most _BATCH_VALUES
+    values of working set.  Degree 1 takes the scalar sweep of
+    solve_order1, higher degrees the coupled sweep of solve.  Every value
+    is bit for bit the one solve() gives for its pair alone.  Raises
+    NumericError when any value overflows.
+    """
+    if len(pxs) != len(pys):
+        raise ValueError(f"{len(pxs)} first paths but {len(pys)} second paths")
+    groups = {}
+    for k, (px, py) in enumerate(zip(pxs, pys)):
+        _check_compatible(px, py)
+        key = (px.dim, px.degree, px.n_intervals, py.n_intervals)
+        groups.setdefault(key, []).append(k)
+    values = np.empty(len(pxs))
+    for (d, m, nx, ny), ks in groups.items():
+        per_pair = nx * ny if m == 1 else 16 * (max(nx, ny) + 1) * tensor_dim(d, m)
+        size = max(1, _BATCH_VALUES // per_pair)
+        for s in range(0, len(ks), size):
+            chunk = ks[s:s + size]
+            X = np.stack([pxs[k].increments for k in chunk])
+            Y = np.stack([pys[k].increments for k in chunk])
+            if m == 1:
+                values[chunk] = _sweep_order1(X[..., 1:], Y[..., 1:])
+            else:
+                values[chunk] = _sweep(d, m, X, Y)
+    return _finite(values)
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
+           state: Optional[GoursatState] = None) -> np.ndarray:
+    """Far-corner u of the coupled sweep over B pairs of one shape.
+
+    X and Y hold the increments of the pairs, shape (B, N_x, N) and
+    (B, N_y, N).  The adjoint states of a row live side by side in one
+    array z = [phi | psi] of shape (B, N_y+1, 2N).  Per row, one matrix
+    V = [M_x^T ; S_x] of x = x_i carries every x-side product: z @ V is
+    phi (x) x + L*_psi(x), and Y @ V^T is [R*_x(y_j) | R*_{y_j}(x)], whose
+    first slot is c = <x, y_j>.  The psi recursion along the row does not
+    involve u, and its level k only reads levels below k, so each level is
+    one prefix sum over the row.  u then advances on Python floats, which
+    is the same IEEE arithmetic as numpy scalars.  With a state (B = 1) the
+    rows are written into its grids.
+    """
+    B, nx, n = X.shape
+    ny = Y.shape[1]
+    offs = _offsets(d, m)
+    _, _, words, prefixes, suffixes = _concat_tables(d, m)
+
+    def level(a, k):
+        return a[..., offs[k]:offs[k + 1]]
+
+    z = np.zeros((B, ny + 1, 2 * n))
+    z[:, :, n:] = _boundary_partials(d, m, Y)
+    z_new = np.empty_like(z)
+    phi_bnd = _boundary_partials(d, m, X)
+    pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
+    pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
+    u_prev = np.ones((B, ny + 1))
+    u_prev2 = u_prev                            # row i-1, read once i > 0
+    v = np.zeros((B, 2 * n, n))
+    r = np.empty((B, ny, 2 * n))
+
+    for i in range(nx):
+        # V = [M_x^T ; S_x]: M_x[uv, u] = x[v] and S_x[u, v] = x[uv]
+        x = X[:, i]
+        v[:, prefixes, words] = x[:, suffixes]
+        v[:, n + prefixes, suffixes] = x[:, words]
+        np.matmul(Y, v.transpose(0, 2, 1), out=r)
+
+        z_new[:, 0, :n] = phi_bnd[:, i + 1]
+        z_new[:, 0, n:] = 0.0
+        phi = z_new[:, 1:, :n]
+        np.matmul(z[:, 1:], v, out=phi)
+        phi += u_prev[:, :-1, None] * x[:, None]
+        phi += z[:, 1:, :n]
+        phi[..., 0] = 0.0
+
+        # psi[j+1] = psi[j] + u_prev[j] y_j + L*_phi[j](y_j) + psi[j] (x) y_j,
+        # one tensor level at a time; phi and psi have no scalar part
+        phi_lo, psi = z_new[:, :-1, :n], z_new[:, :, n:]
+        psi[:, 1:, 0] = 0.0
+        uy = u_prev[:, :-1, None] * Y
+        for k in range(1, m + 1):
+            inc = level(uy, k)
+            if k < m:
+                # the level >= k+1 part of y_j, rows indexed by prefix words
+                tails = Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k)
+                inc += (phi_lo[..., None, 1:offs[m - k + 1]] @ tails)[..., 0, :]
+            for l in range(1, k):
+                low = level(psi[:, :-1], l)[..., :, None] * level(Y, k - l)[..., None, :]
+                inc += low.reshape(B, ny, -1)
+            np.cumsum(inc, axis=1, out=level(psi[:, 1:], k))
+
+        c = r[..., 0]
+        g1 = np.einsum('bjn,bjn->bj', z[:, :-1], r)
+        g2 = np.einsum('bjn,bjn->bj', z[:, 1:], r)
+        g3 = np.einsum('bjn,bjn->bj', z_new[:, :-1], r)
+        g4 = np.einsum('bjn,bjn->bj', z_new[:, 1:], r)
+        fire_s = rep_x[:, i, None] & pure_y
+        fire_t = rep_y & pure_x[:, i, None]
+        fire = fire_s | fire_t
+        dt_row = np.zeros((B, ny))
+        dt_row[:, 1:] = (u_prev[:, 2:] + u_prev[:, :-2]) - 2.0 * u_prev[:, 1:-1]
+
+        u_rows = []
+        for b in range(B):
+            up, up2 = u_prev[b].tolist(), u_prev2[b].tolist()
+            fire_b, fs, ft = fire[b].tolist(), fire_s[b].tolist(), fire_t[b].tolist()
+            dt = dt_row[b].tolist()
+            gs = zip(g1[b].tolist(), g2[b].tolist(), g3[b].tolist(), g4[b].tolist())
+            u = 1.0
+            row = [u]
+            for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
+                curv = None
+                if fire_b[j]:
+                    curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
+                            + (dt[j] if ft[j] else 0.0))
+                u = _corner(u00, u01, u, cj, g, curv)
+                row.append(u)
+            u_rows.append(row)
+        u_new = np.array(u_rows)
+
+        if state is not None:
+            state.u[i + 1] = u_new[0]
+            state.phi[i + 1] = z_new[0, :, :n]
+            state.psi[i + 1] = z_new[0, :, n:]
+        u_prev2 = u_prev
+        u_prev, z, z_new = u_new, z_new, z
+    return u_prev[:, ny]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep_order1(X: np.ndarray, Y: np.ndarray,
+                  grid: Optional[np.ndarray] = None) -> np.ndarray:
+    """Far-corner u of the scalar sweep over B pairs of one shape.
+
+    X and Y hold level-1 increments, shape (B, N_x, d) and (B, N_y, d).
+    Each anti-diagonal of cells is one _corner call without adjoint terms;
+    its cells depend only on earlier anti-diagonals, so the result equals
+    the row-major sweep.  Only the last four anti-diagonals of corners are
+    kept, as rows of four (B, N_x+2) buffers indexed by 1 + the x index of
+    the corner; boundary corners are never written and stay 1.  With a grid
+    (B = 1, shape (N_x+1, N_y+1)) every corner is also written there.
+    """
+    c = X @ Y.transpose(0, 2, 1)
+    B, nx, ny = c.shape
+    _, rep_x = _gate_flags(X, X[..., :0])
+    _, rep_y = _gate_flags(Y, Y[..., :0])
+    # cell (i, p - i) reads column ny-1-p+i of the reversed y side
+    rep_yr = rep_y[:, ::-1]
+    diags = np.ones((4, B, nx + 2))
+    for p in range(nx + ny - 1):
+        lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
+        before, u0, u1, new = (diags[(p + k) % 4] for k in range(-1, 3))
+        cells = slice(lo + 1, hi + 1)
+        up = slice(lo + 2, hi + 2)
+        col = slice(ny - 1 - p + lo, ny - 1 - p + hi)
+        u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
+        ii = np.arange(lo, hi)
+        fire_s, fire_t = rep_x[:, lo:hi], rep_yr[:, col]
+        curv = None
+        if fire_s.any() or fire_t.any():
+            curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
+                    + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
+        new[:, up] = _corner(u00, u01, u10, c[:, ii, p - ii], curv=curv)
+        if grid is not None:
+            grid[ii + 1, p - ii + 1] = new[0, up]
+    return diags[(nx + ny) % 4][:, nx + 1]
+
+
 def solve_order1(increments_x: Sequence[Sequence[float]],
                  increments_y: Sequence[Sequence[float]],
                  keep_state: bool = False) -> KernelSolution:
@@ -362,10 +470,9 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
 
     For level-1 increments the adjoint states never feed back into u, so
     only the scalar recursion with cell coefficients c[i, j] = <dx_i, dy_j>
-    remains.  Each anti-diagonal is one _corner call without adjoint terms;
-    its cells depend only on earlier anti-diagonals, so the result equals
-    the row-major sweep.  Non-finite increments raise ValueError, an
-    overflowing kernel value NumericError.
+    remains.  This is the one-pair case of the anti-diagonal sweep that
+    solve_pairs() runs on batches.  Non-finite increments raise ValueError,
+    an overflowing kernel value NumericError.
     """
     X = np.asarray(increments_x, dtype=np.float64)
     Y = np.asarray(increments_y, dtype=np.float64)
@@ -379,29 +486,10 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
         )
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite increment coefficient")
-    c = X @ Y.T
-    nx, ny = c.shape
-    _, rep_x = _gate_flags(X, X[:, :0])
-    _, rep_y = _gate_flags(Y, Y[:, :0])
-    u = np.ones((nx + 1, ny + 1))
-    for p in range(nx + ny - 1):
-        lo = max(0, p - ny + 1)
-        hi = min(nx - 1, p)
-        ii = np.arange(lo, hi + 1)
-        jj = p - ii
-        u00 = u[ii, jj]
-        u01 = u[ii, jj + 1]
-        u10 = u[ii + 1, jj]
-        fire_s = rep_x[ii]
-        fire_t = rep_y[jj]
-        curv = None
-        if (fire_s | fire_t).any():
-            curv = (np.where(fire_s, (u10 + u[ii - 1, jj]) - 2.0 * u00, 0.0)
-                    + np.where(fire_t, (u01 + u[ii, jj - 1]) - 2.0 * u00, 0.0))
-        u[ii + 1, jj + 1] = _corner(u00, u01, u10, c[ii, jj], curv=curv)
-    value = _finite(u[nx, ny])
+    grid = np.ones((len(X) + 1, len(Y) + 1)) if keep_state else None
+    value = float(_finite(_sweep_order1(X[None], Y[None], grid))[0])
     if keep_state:
-        return KernelSolution(value, GoursatState(X.shape[1], 1, u, None, None))
+        return KernelSolution(value, GoursatState(X.shape[1], 1, grid, None, None))
     return KernelSolution(value)
 
 

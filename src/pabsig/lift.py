@@ -270,11 +270,13 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
 
 def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running product exp(L_0) (x) ... (x) exp(L_{i-1})
-    of the interval increments L (one per row of incs)."""
-    out = np.zeros((len(incs) + 1, tensor_dim(d, m)))
-    out[0, 0] = 1.0
-    for i, e in enumerate(_exp(d, m, incs)):
-        out[i + 1] = _mul(d, m, out[i], e)
+    of the interval increments L (one per row of incs, shape (..., N, n));
+    leading axes hold independent paths and never change a bit of a row."""
+    exps = _exp(d, m, incs)
+    out = np.zeros(incs.shape[:-2] + (incs.shape[-2] + 1, tensor_dim(d, m)))
+    out[..., 0, 0] = 1.0
+    for i in range(incs.shape[-2]):
+        out[..., i + 1, :] = _mul(d, m, out[..., i, :], exps[..., i, :])
     return out
 
 

@@ -15,7 +15,8 @@ from pabsig import (
     thin_partition,
     unit,
 )
-from pabsig.cli import main
+from pabsig import cli
+from pabsig.cli import _ParseFailure, _parse_rows, main
 
 from pabsig import TruncTensor
 
@@ -333,12 +334,59 @@ def test_sweep_overflow_exits_numeric(tmp_path, scale, degree):
     big = tmp_path / "big.csv"
     write_series(big, [0.0, 1.0, 2.0],
                  [[0.0, 0.0], [scale, 2 * scale], [-scale, 3 * scale]])
-    proc = subprocess.run(
-        [sys.executable, "-m", "pabsig", "kernel", str(big), str(big),
-         "--degree", str(degree)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()
-    assert line.startswith("error: ") and "not finite" in line
+    # a benign series of the same length: gram sweeps its three pairs,
+    # the overflowing one among them, as one batch
+    write_series(tmp_path / "calm.csv", [0.0, 1.0, 2.0],
+                 [[0.0, 0.0], [0.1, 0.2], [0.3, 0.1]])
+    for command in (["kernel", str(big), str(big)], ["gram", str(tmp_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pabsig", *command, "--degree", str(degree)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "not finite" in line
+
+
+def test_csv_parse_matches_float_bitwise(monkeypatch):
+    rng = np.random.default_rng(75)
+    values = rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300)
+    fields = [repr(float(v)) for v in values]
+    fields += ["nan", "-nan", "NaN", "inf", "-inf", "+Infinity", "1e400",
+               "-0.0", "5e-324", " 1.5", "2.5 ", "\t-3.25\t", "  4e-3  ",
+               "0.1000000000000000055511151231257827", ".5", "7."]
+    fields += [repr(float(v)) for v in rng.standard_normal(2)]
+    rows = [fields[k:k + 3] for k in range(0, len(fields), 3)]
+    body = "".join(",".join(row) + "\n" for row in rows[1:])
+    want = np.array([[float(f) for f in row] for row in rows])
+    plain = "time,x1,x2\n" + ",".join(rows[0]) + "\n" + body
+    # quotes leave numpy out: csv and float() read every row
+    quoted = "time,x1,x2\n" + ",".join(f'"{f}"' for f in rows[0]) + "\n" + body
+    for text in (plain, quoted):
+        got = _parse_rows("s.csv", text)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    # the plain file is parsed by numpy alone
+    monkeypatch.setattr(cli.csv, "reader", None)
+    assert _parse_rows("s.csv", plain).tobytes() == want.tobytes()
+
+
+def test_csv_parse_failures_name_the_line(tmp_path):
+    cases = {
+        "time,x1\n0.0,0.0\n1.0\n": "s.csv:3: expected 2 fields, got 1",
+        "time,x1\n0.0,0.0\n\n1.0,zero\n": "s.csv:3: non-numeric field",
+        "time,x1\n0.0,0.0\n   \n1.0,1.0\n": "s.csv:3: expected 2 fields, got 1",
+        "time,x1\n0.0,1_0\n": None,       # float() reads underscores
+        "time,x1\n0.0,0.0,\n": "s.csv:2: expected 2 fields, got 3",
+        "t,x1\n0.0,0.0\n": "s.csv: header must be time,x1,...,xd",
+        "time,x1\n\n": "s.csv: no data rows",
+        "": "s.csv: empty file",
+    }
+    for text, message in cases.items():
+        if message is None:
+            assert _parse_rows("s.csv", text).tolist() == [[0.0, 10.0]]
+            continue
+        with pytest.raises(_ParseFailure) as info:
+            _parse_rows("s.csv", text)
+        assert str(info.value) == message

@@ -8,12 +8,15 @@ from pabsig import (
     ExperimentConfig,
     ShapeMismatchError,
     TimeSeries,
+    build_pab,
     convergence_experiment,
     error_estimate,
     gram_matrix,
     linear_kernel_closed_form,
     reference_value,
     simulate_bm,
+    solve,
+    thin_partition,
     write_pair_errors_csv,
     write_records_csv,
 )
@@ -218,3 +221,33 @@ def test_csv_round_trips_floats_exactly():
     line = buf.getvalue().splitlines()[1].split(",")
     assert float(line[2]) == records[0].mean_error
     assert float(line[3]) == records[0].stderr
+
+
+def test_gram_matrix_ragged_lengths_match_single_solves_bitwise():
+    # three lengths give several shape groups, swept one group at a time
+    rng = np.random.default_rng(52)
+    dataset = [rand_series(rng, 2, n) for n in (8, 12, 8, 16, 12, 8)]
+    for m, every in ((1, 1), (2, 2), (3, 4)):
+        pabs = [build_pab(ts, thin_partition(ts, every), m) for ts in dataset]
+        want = np.array([[solve(a, b).value for b in pabs] for a in pabs])
+        got = gram_matrix(dataset, m, every)
+        upper = np.triu_indices(len(dataset))
+        assert got[upper].tobytes() == want[upper].tobytes()
+        np.testing.assert_array_equal(got, got.T)
+
+
+def test_convergence_errors_match_error_estimate_bitwise():
+    cfg = ExperimentConfig(n_fine=32, factors=(2, 4, 8), degrees=(1, 2, 3),
+                           repetitions=4, seed=5)
+    records = convergence_experiment(cfg)
+    root = np.random.SeedSequence(cfg.seed)
+    pairs = []
+    for child in root.spawn(cfg.repetitions):
+        sx, sy = child.spawn(2)
+        pairs.append((simulate_bm(cfg.dim, cfg.n_fine, cfg.horizon, sx),
+                      simulate_bm(cfg.dim, cfg.n_fine, cfg.horizon, sy)))
+    assert len(records) == 9
+    for rec in records:
+        want = np.array([error_estimate(x, y, rec.degree, rec.factor)
+                         for x, y in pairs])
+        assert rec.errors.tobytes() == want.tobytes()

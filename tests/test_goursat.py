@@ -11,11 +11,13 @@ from pabsig import (
     kernel,
     solve,
     solve_order1,
+    solve_pairs,
     step,
     tensor_dim,
     unit,
 )
 
+from pabsig import goursat
 from pabsig.goursat import _boundary_partials
 from pabsig.tensors import _exp, _mul
 
@@ -378,3 +380,83 @@ def test_degree1_solve_takes_the_scalar_sweep():
     assert got.value == scalar.value
     coupled = solve(px, py, keep_state=True).value
     assert abs(got.value - coupled) <= 1e-12 * max(1.0, abs(coupled))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def batch_cases(rng):
+    """Pairs of two shapes at each d = 1-3 and m = 1-3.  Two refined, padded
+    pairs per (d, m) repeat increments along different axes, so the
+    curvature correction fires on them, next to random pairs of the same
+    shape, where it does not."""
+    pairs = []
+    for d in (1, 2, 3):
+        for m in (1, 2, 3):
+            pairs += [(rand_pab(rng, d, m, 4), rand_pab(rng, d, m, 3)),
+                      (rand_pab(rng, d, m, 6), rand_pab(rng, d, m, 6))]
+            for nx, ny in ((2, 3), (3, 2)):
+                px = pad_pab(refine_pab(rand_pab(rng, d, 1, nx), 6 // nx), m)
+                py = pad_pab(refine_pab(rand_pab(rng, d, 1, ny), 6 // ny), m)
+                pairs.append((px, py))
+            pairs.append((rand_pab(rng, d, m, 6), rand_pab(rng, d, m, 6)))
+    return pairs
+
+
+def test_solve_pairs_entries_match_single_solves_bitwise():
+    rng = np.random.default_rng(90)
+    pairs = batch_cases(rng)
+    alone = [solve(px, py).value for px, py in pairs]
+    repeats = [(np.diff(p.increments, axis=0) == 0).all(axis=1).any()
+               for pair in pairs for p in pair]
+    assert sum(repeats) == 2 * 2 * 9
+    for order in (np.arange(len(pairs)), rng.permutation(len(pairs)),
+                  rng.permutation(len(pairs))[:7]):
+        got = solve_pairs([pairs[k][0] for k in order], [pairs[k][1] for k in order])
+        assert same_bits(got, [alone[k] for k in order])
+    # pair 13 (d = 1, m = 3, the second refined pair), where the correction
+    # fires, among different batch-mates of its shape, and alone in a batch
+    k = 2 * 5 + 3
+    for mates in ([], pairs[10:13], pairs[14:15] + pairs[11:12], [pairs[k]] * 4):
+        got = solve_pairs([a for a, _ in mates] + [pairs[k][0]],
+                          [b for _, b in mates] + [pairs[k][1]])
+        assert same_bits(got[-1], alone[k])
+
+
+def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
+    rng = np.random.default_rng(91)
+    pairs = [(rand_pab(rng, 2, m, 5), rand_pab(rng, 2, m, 4))
+             for m in (1, 2) for _ in range(7)]
+    pxs, pys = [a for a, _ in pairs], [b for _, b in pairs]
+    alone = [solve(a, b).value for a, b in pairs]
+    assert same_bits(solve_pairs(pxs, pys), alone)
+    batches = []
+    sweep, sweep_order1 = goursat._sweep, goursat._sweep_order1
+    monkeypatch.setattr(goursat, "_sweep", lambda d, m, X, Y, state=None:
+                        batches.append((m, len(X))) or sweep(d, m, X, Y, state))
+    monkeypatch.setattr(goursat, "_sweep_order1", lambda X, Y, grid=None:
+                        batches.append((1, len(X))) or sweep_order1(X, Y, grid))
+    # per pair the budget counts 5 x 4 values at degree 1 and
+    # 16 x 6 x 7 at degree 2 (N(2, 2) = 7 coefficients)
+    for budget, want in ((40, [(1, 1), (1, 2), (1, 2), (1, 2)] + [(2, 1)] * 7),
+                         (3 * 16 * 6 * 7, [(1, 7), (2, 1), (2, 3), (2, 3)])):
+        monkeypatch.setattr(goursat, "_BATCH_VALUES", budget)
+        batches.clear()
+        assert same_bits(solve_pairs(pxs, pys), alone)
+        assert sorted(batches) == want
+
+
+def test_solve_pairs_validation():
+    rng = np.random.default_rng(92)
+    a, b = rand_pab(rng, 2, 2, 3), rand_pab(rng, 2, 2, 2)
+    assert solve_pairs([], []).shape == (0,)
+    with pytest.raises(ValueError):
+        solve_pairs([a, b], [b])
+    with pytest.raises(ShapeMismatchError):
+        solve_pairs([a, a], [b, rand_pab(rng, 2, 3, 2)])
+    # one overflowing pair fails the whole batch
+    big = PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], b.increments * 1e100)
+    with pytest.raises(NumericError):
+        solve_pairs([b, big, b], [b, big, b])
