@@ -79,12 +79,13 @@ def _parse_rows(path: str, text: str) -> np.ndarray:
             data = None
         if data is not None and len(data) and data.shape[1] == d + 1:
             return data
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise _ParseFailure(f"{path}: empty file")
-    d = _header_dim(path, rows[0])
+    d = _header_dim(path, rows[0][1])
     data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != d + 1:
             raise _ParseFailure(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
         try:

@@ -23,7 +23,7 @@ from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .goursat import solve, solve_order1, solve_pairs
+from .goursat import solve, solve_order1
 from .lift import TimeSeries, build_pab, thin_partition
 from .tensors import ShapeMismatchError
 
@@ -157,18 +157,17 @@ def convergence_experiment(cfg: ExperimentConfig) -> List[ErrorRecord]:
     """One ErrorRecord per (degree, factor), degrees outer, ascending.
 
     The same repetitions are reused across all cells; the whole run is a
-    deterministic function of the config.  Each cell sweeps all its pairs
-    in one solve_pairs() call, so its errors are exactly those of
-    error_estimate() pair by pair.
+    deterministic function of the config.
     """
     pairs = _sample_pairs(cfg)
-    refs = np.array([reference_value(x, y) for x, y in pairs])
+    refs = [reference_value(x, y) for x, y in pairs]
     records = []
     for m in cfg.degrees:
         for k in cfg.factors:
-            pxs = [build_pab(x, x.times[::k], m) for x, _ in pairs]
-            pys = [build_pab(y, y.times[::k], m) for _, y in pairs]
-            errors = np.abs(refs - solve_pairs(pxs, pys))
+            errors = np.array([
+                error_estimate(x, y, m, k, reference=r)
+                for (x, y), r in zip(pairs, refs)
+            ])
             mean = float(errors.mean())
             if errors.size > 1:
                 stderr = float(errors.std(ddof=1) / math.sqrt(errors.size))
@@ -182,8 +181,7 @@ def gram_matrix(dataset: Sequence[TimeSeries], m: int, every: int = 1) -> np.nda
     """Pairwise kernel matrix of a dataset of series with a shared dim.
 
     Partitions take every-th sample point (final point always kept).
-    Entries are computed for i <= j, in one solve_pairs() call that sweeps
-    the pairs of each shape together, and mirrored.
+    Entries are computed for i <= j and mirrored.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -194,10 +192,11 @@ def gram_matrix(dataset: Sequence[TimeSeries], m: int, every: int = 1) -> np.nda
                 f"series {i} has dim {ts.dim}, expected {d}"
             )
     pabs = [build_pab(ts, thin_partition(ts, every), m) for ts in dataset]
-    rows, cols = np.triu_indices(len(pabs))
-    values = solve_pairs([pabs[i] for i in rows], [pabs[j] for j in cols])
-    gram = np.empty((len(pabs), len(pabs)))
-    gram[rows, cols] = gram[cols, rows] = values
+    n = len(pabs)
+    gram = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            gram[i, j] = gram[j, i] = solve(pabs[i], pabs[j]).value
     return gram
 
 

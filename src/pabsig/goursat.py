@@ -36,8 +36,9 @@ higher-level content, and paths whose neighbouring increments all differ
 The u update is written once, in _corner, which step(), solve() and
 solve_order1() share.  For degree-1 inputs the adjoint contributions to u
 vanish identically and the system collapses to the classical scalar
-recursion, provided here as a fast path (solve_order1) that solve() takes
-at degree 1.  Both sweeps raise NumericError when the kernel value overflows.
+recursion, provided here as a fast path (solve_order1) whose sweep
+solve() and solve_pairs() take at degree 1.  Both sweeps raise
+NumericError when the kernel value overflows.
 
 Both sweeps carry a leading pair axis: solve_pairs() sweeps B pairs of one
 shape together, and solve() and solve_order1() are its B = 1 case, so a
@@ -83,7 +84,8 @@ _ROUNDING = 1e-12
 # Working set, in float64 values, that one pair-batched sweep call may hold;
 # solve_pairs() runs larger groups of pairs in consecutive chunks.  Per pair
 # the scalar sweep holds the N_x x N_y cell coefficients, and the coupled
-# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 11-19).
+# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 11-19) plus
+# the 2N x N matrix of the current x increment.
 _BATCH_VALUES = 1 << 19
 
 __all__ = [
@@ -267,23 +269,23 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
           keep_state: bool = False) -> KernelSolution:
     """Sweep the whole grid and return the kernel value at the far corner.
 
-    This is the one-pair case of the sweep of solve_pairs(), so a pair
-    gives the same bits here as inside any batch.  Each row runs in two
-    passes: phi, psi and the adjoint terms of the row are computed for all
-    columns at once (psi by a prefix sum per tensor level), then u marches
-    along the row through _corner, the update of step().
+    Without the grids this is solve_pairs() on the one pair, so a pair
+    gives the same bits here as inside any batch.  Each row of the coupled
+    sweep runs in two passes: phi, psi and the adjoint terms of the row are
+    computed for all columns at once (psi by a prefix sum per tensor
+    level), then u marches along the row through _corner, the update of
+    step().
 
     At degree 1 the adjoint states never feed back into u, so unless the
-    grids are asked for, the value comes from the scalar sweep solve_order1
-    on the level-1 coefficients, which agrees with the coupled sweep to
-    rounding.  Raises NumericError when the kernel value overflows.
+    grids are asked for, the value comes from the scalar sweep of
+    solve_order1 on the level-1 coefficients, which agrees with the coupled
+    sweep to rounding.  With keep_state the coupled sweep fills the grids
+    at every degree.  Raises NumericError when the kernel value overflows.
     """
-    _check_compatible(px, py)
-    X, Y = px.increments, py.increments
-    if px.degree == 1 and not keep_state:
-        return solve_order1(X[:, 1:], Y[:, 1:])
-    state = init_boundaries(px, py) if keep_state else None
-    values = _sweep(px.dim, px.degree, X[None], Y[None], state)
+    if not keep_state:
+        return KernelSolution(float(solve_pairs([px], [py])[0]))
+    state = init_boundaries(px, py)
+    values = _sweep(px.dim, px.degree, px.increments[None], py.increments[None], state)
     return KernelSolution(float(_finite(values)[0]), state)
 
 
@@ -307,7 +309,8 @@ def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
         groups.setdefault(key, []).append(k)
     values = np.empty(len(pxs))
     for (d, m, nx, ny), ks in groups.items():
-        per_pair = nx * ny if m == 1 else 16 * (max(nx, ny) + 1) * tensor_dim(d, m)
+        n = tensor_dim(d, m)
+        per_pair = nx * ny if m == 1 else 16 * (max(nx, ny) + 1) * n + 2 * n * n
         size = max(1, _BATCH_VALUES // per_pair)
         for s in range(0, len(ks), size):
             chunk = ks[s:s + size]

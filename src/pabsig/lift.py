@@ -30,7 +30,6 @@ from .tensors import (
     TruncTensor,
     _exp,
     _log,
-    _mul,
     _offsets,
     tensor_dim,
 )
@@ -271,12 +270,24 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
 def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running product exp(L_0) (x) ... (x) exp(L_{i-1})
     of the interval increments L (one per row of incs, shape (..., N, n));
-    leading axes hold independent paths and never change a bit of a row."""
+    leading axes hold independent paths and never change a bit of a row.
+
+    Level k of row i+1 is level k of row i plus the terms of the product
+    with exp(L_i) that read only levels below k of row i, so each level is
+    one prefix sum over the rows.  The terms are summed in the order _mul
+    sums them, so every row has the bits of the product loop.
+    """
+    offs = _offsets(d, m)
     exps = _exp(d, m, incs)
-    out = np.zeros(incs.shape[:-2] + (incs.shape[-2] + 1, tensor_dim(d, m)))
-    out[..., 0, 0] = 1.0
-    for i in range(incs.shape[-2]):
-        out[..., i + 1, :] = _mul(d, m, out[..., i, :], exps[..., i, :])
+    lead, rows = incs.shape[:-2], incs.shape[-2]
+    out = np.zeros(lead + (rows + 1, offs[-1]))
+    out[..., 0] = 1.0
+    for k in range(1, m + 1):
+        inc = np.zeros(lead + (rows, d**k))
+        for j in range(k):
+            low = out[..., :-1, offs[j]:offs[j + 1], None]
+            inc += (low * exps[..., None, offs[k - j]:offs[k - j + 1]]).reshape(inc.shape)
+        np.cumsum(inc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
     return out
 
 

@@ -334,8 +334,8 @@ def test_sweep_overflow_exits_numeric(tmp_path, scale, degree):
     big = tmp_path / "big.csv"
     write_series(big, [0.0, 1.0, 2.0],
                  [[0.0, 0.0], [scale, 2 * scale], [-scale, 3 * scale]])
-    # a benign series of the same length: gram sweeps its three pairs,
-    # the overflowing one among them, as one batch
+    # a benign series of the same length: gram fails on the one
+    # overflowing pair of its three
     write_series(tmp_path / "calm.csv", [0.0, 1.0, 2.0],
                  [[0.0, 0.0], [0.1, 0.2], [0.3, 0.1]])
     for command in (["kernel", str(big), str(big)], ["gram", str(tmp_path)]):
@@ -375,7 +375,7 @@ def test_csv_parse_matches_float_bitwise(monkeypatch):
 def test_csv_parse_failures_name_the_line(tmp_path):
     cases = {
         "time,x1\n0.0,0.0\n1.0\n": "s.csv:3: expected 2 fields, got 1",
-        "time,x1\n0.0,0.0\n\n1.0,zero\n": "s.csv:3: non-numeric field",
+        "time,x1\n0.0,0.0\n\n1.0,zero\n": "s.csv:4: non-numeric field",
         "time,x1\n0.0,0.0\n   \n1.0,1.0\n": "s.csv:3: expected 2 fields, got 1",
         "time,x1\n0.0,1_0\n": None,       # float() reads underscores
         "time,x1\n0.0,0.0,\n": "s.csv:2: expected 2 fields, got 3",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -439,13 +441,34 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
     monkeypatch.setattr(goursat, "_sweep_order1", lambda X, Y, grid=None:
                         batches.append((1, len(X))) or sweep_order1(X, Y, grid))
     # per pair the budget counts 5 x 4 values at degree 1 and
-    # 16 x 6 x 7 at degree 2 (N(2, 2) = 7 coefficients)
+    # 16 x 6 x 7 + 2 x 7 x 7 at degree 2 (N(2, 2) = 7 coefficients)
     for budget, want in ((40, [(1, 1), (1, 2), (1, 2), (1, 2)] + [(2, 1)] * 7),
-                         (3 * 16 * 6 * 7, [(1, 7), (2, 1), (2, 3), (2, 3)])):
+                         (3 * (16 * 6 * 7 + 2 * 7 * 7),
+                          [(1, 7), (2, 1), (2, 3), (2, 3)])):
         monkeypatch.setattr(goursat, "_BATCH_VALUES", budget)
         batches.clear()
         assert same_bits(solve_pairs(pxs, pys), alone)
         assert sorted(batches) == want
+
+    # d = 3, m = 4 (N = 121) on 2 x 2 cells: the 2N x N matrix of the
+    # current x increment outweighs the rows of adjoint states, and a
+    # chunk of 4 pairs still holds no more than the budget
+    pairs = [(rand_pab(rng, 3, 4, 2), rand_pab(rng, 3, 4, 2)) for _ in range(10)]
+    pxs, pys = [a for a, _ in pairs], [b for _, b in pairs]
+    alone = [solve(a, b).value for a, b in pairs]
+    n = tensor_dim(3, 4)
+    budget = 4 * (16 * 3 * n + 2 * n * n)
+    monkeypatch.setattr(goursat, "_BATCH_VALUES", budget)
+    batches.clear()
+    tracemalloc.start()
+    try:
+        got = solve_pairs(pxs, pys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bits(got, alone)
+    assert sorted(batches) == [(4, 2), (4, 4), (4, 4)]
+    assert peak <= 8 * budget
 
 
 def test_solve_pairs_validation():
