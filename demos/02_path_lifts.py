@@ -25,7 +25,7 @@ print("signature of the L-path, degree 2:")
 print(" ", sig.coeffs, " (e12 = 1: the two moves happen in order)")
 
 logsig = log_signature(ts, None, 2)
-print("log-signature:", logsig.tensor.coeffs)
+print("log-signature:", logsig.coeffs)
 print("  level 1 is the net displacement, level 2 the signed area +-1/2")
 
 # Chen's identity: signatures multiply over concatenation

@@ -29,7 +29,6 @@ from .goursat import (
     step,
 )
 from .lift import (
-    LieIncrement,
     PiecewiseAbelianPath,
     TimeSeries,
     build_pab,

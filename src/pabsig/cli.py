@@ -61,14 +61,15 @@ def _header_dim(path: str, fields) -> int:
 def _parse_rows(path: str, text: str) -> np.ndarray:
     """Data rows of a series CSV as one (n, d+1) float64 array.
 
-    A plain file (header on the first line, no quotes, no carriage
-    returns) holds one CSV row per line, so numpy parses its body in one
-    call; numpy accepts a subset of what float() accepts and reads it to
-    the same value.  Any other file, and any body numpy rejects, is read
+    text comes from Path.read_text, which translates every newline to
+    "\n", so it holds no carriage return.  A plain file (header on the
+    first line, no quotes) holds one CSV row per line, so numpy parses its
+    body in one call; numpy accepts a subset of what float() accepts and
+    reads it to the same value.  Any other file, and any body numpy rejects, is read
     row by row with csv and float(), which also names the failing line.
     """
     head, _, body = text.partition("\n")
-    if head and '"' not in text and "\r" not in text:
+    if head and '"' not in text:
         d = _header_dim(path, head.split(","))
         try:
             with warnings.catch_warnings():

@@ -136,8 +136,8 @@ def error_estimate(ts_x: TimeSeries, ts_y: TimeSeries, m: int, k: int,
         raise ValueError(f"factor {k} does not divide grid sizes {nx}, {ny}")
     if reference is None:
         reference = reference_value(ts_x, ts_y)
-    px = build_pab(ts_x, ts_x.times[::k], m)
-    py = build_pab(ts_y, ts_y.times[::k], m)
+    px = build_pab(ts_x, thin_partition(ts_x, k), m)
+    py = build_pab(ts_y, thin_partition(ts_y, k), m)
     return abs(reference - solve(px, py).value)
 
 

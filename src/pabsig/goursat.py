@@ -59,21 +59,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lift import (
-    PiecewiseAbelianPath,
-    TimeSeries,
-    _partial_products,
-    build_pab,
-)
+from .lift import PiecewiseAbelianPath, TimeSeries, build_pab
 from .tensors import (
     NumericError,
     ShapeMismatchError,
-    TruncTensor,
     _concat_tables,
+    _exp,
     _ladj,
     _mul,
     _offsets,
     _radj,
+    _running,
     tensor_dim,
 )
 
@@ -106,7 +102,9 @@ class GoursatState:
 
     u has shape (N_x+1, N_y+1); phi and psi, when present, have shape
     (N_x+1, N_y+1, N(d, m)) with the scalar slot of every populated entry
-    exactly 0.  Cells not yet computed hold NaN.  x_increments and
+    exactly 0; the adjoint states at corner (i, j) are the rows phi[i, j]
+    and psi[i, j] (wrap one in TruncTensor(dim, degree, row) to use the
+    tensors API).  Cells not yet computed hold NaN.  x_increments and
     y_increments, when present, are the interval log-signatures of the two
     paths, shape (N_x, N(d, m)) and (N_y, N(d, m)); step() reads the
     increments of a cell and of its neighbouring cells from them.
@@ -119,16 +117,6 @@ class GoursatState:
     psi: Optional[np.ndarray]
     x_increments: Optional[np.ndarray] = None
     y_increments: Optional[np.ndarray] = None
-
-    def phi_at(self, i: int, j: int) -> TruncTensor:
-        if self.phi is None:
-            raise ValueError("adjoint grids were not retained")
-        return TruncTensor(self.dim, self.degree, self.phi[i, j].copy())
-
-    def psi_at(self, i: int, j: int) -> TruncTensor:
-        if self.psi is None:
-            raise ValueError("adjoint grids were not retained")
-        return TruncTensor(self.dim, self.degree, self.psi[i, j].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +184,7 @@ def _corner(u00, u01, u10, c, g=None, curv=None):
 def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running signature with scalar slot zeroed,
     i.e. the group partial products minus 1 (leading axes hold other paths)."""
-    out = _partial_products(d, m, incs)
+    out = _running(d, m, _exp(d, m, incs))
     out[..., 0] = 0.0
     return out
 
@@ -334,18 +322,15 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     V = [M_x^T ; S_x] of x = x_i carries every x-side product: z @ V is
     phi (x) x + L*_psi(x), and Y @ V^T is [R*_x(y_j) | R*_{y_j}(x)], whose
     first slot is c = <x, y_j>.  The psi recursion along the row does not
-    involve u, and its level k only reads levels below k, so each level is
-    one prefix sum over the row.  u then advances on Python floats, which
+    involve u: it is the running product tensors._running of y_j from 0,
+    one prefix sum per tensor level.  u then advances on Python floats, which
     is the same IEEE arithmetic as numpy scalars.  With a state (B = 1) the
     rows are written into its grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
     offs = _offsets(d, m)
-    _, _, words, prefixes, suffixes = _concat_tables(d, m)
-
-    def level(a, k):
-        return a[..., offs[k]:offs[k + 1]]
+    words, prefixes, suffixes = _concat_tables(d, m)
 
     z = np.zeros((B, ny + 1, 2 * n))
     z[:, :, n:] = _boundary_partials(d, m, Y)
@@ -366,28 +351,22 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         np.matmul(Y, v.transpose(0, 2, 1), out=r)
 
         z_new[:, 0, :n] = phi_bnd[:, i + 1]
-        z_new[:, 0, n:] = 0.0
         phi = z_new[:, 1:, :n]
         np.matmul(z[:, 1:], v, out=phi)
         phi += u_prev[:, :-1, None] * x[:, None]
         phi += z[:, 1:, :n]
         phi[..., 0] = 0.0
 
-        # psi[j+1] = psi[j] + u_prev[j] y_j + L*_phi[j](y_j) + psi[j] (x) y_j,
-        # one tensor level at a time; phi and psi have no scalar part
-        phi_lo, psi = z_new[:, :-1, :n], z_new[:, :, n:]
-        psi[:, 1:, 0] = 0.0
-        uy = u_prev[:, :-1, None] * Y
-        for k in range(1, m + 1):
-            inc = level(uy, k)
-            if k < m:
-                # the level >= k+1 part of y_j, rows indexed by prefix words
-                tails = Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k)
-                inc += (phi_lo[..., None, 1:offs[m - k + 1]] @ tails)[..., 0, :]
-            for l in range(1, k):
-                low = level(psi[:, :-1], l)[..., :, None] * level(Y, k - l)[..., None, :]
-                inc += low.reshape(B, ny, -1)
-            np.cumsum(inc, axis=1, out=level(psi[:, 1:], k))
+        # psi[j+1] = psi[j] (x) (1 + y_j) + u_prev[j] y_j + L*_phi[j](y_j),
+        # a running product from psi[0] = 0; phi and psi have no scalar part
+        phi_lo = z_new[:, :-1, :n]
+        f = u_prev[:, :-1, None] * Y
+        for k in range(1, m):
+            # the level >= k+1 part of y_j, rows indexed by prefix words
+            tails = Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k)
+            lo = phi_lo[..., None, 1:offs[m - k + 1]]
+            f[..., offs[k]:offs[k + 1]] += (lo @ tails)[..., 0, :]
+        z_new[:, :, n:] = _running(d, m, Y, f, start=0.0)
 
         c = r[..., 0]
         g1 = np.einsum('bjn,bjn->bj', z[:, :-1], r)

@@ -3,10 +3,14 @@
 A sampled path is interpolated piecewise linearly.  Its truncated signature
 over a window is the ordered product of per-segment exponentials (Chen's
 identity), and the truncated logarithm of that product summarizes the window
-as a single Lie element.  A piecewise-abelian path fixes a partition and
-keeps one such log-signature per interval, as the rows of one
-(n_intervals, N(d, m)) array; between partition points the description
-evolves log-linearly.  Degree 1 recovers the piecewise linear path itself.
+as a single Lie element, a TruncTensor with scalar slot 0.  A
+piecewise-abelian path fixes a partition and keeps one such log-signature
+per interval, as the rows of one (n_intervals, N(d, m)) array; between
+partition points the description evolves log-linearly.  Degree 1 recovers
+the piecewise linear path itself.  The partial signatures
+exp(L_0) (x) ... (x) exp(L_{i-1}) of such a path come from the running
+product tensors._running, which the Goursat solver also uses for its
+boundary data and its psi rows.
 
 All intervals of a path are lifted at once.  One batched kernel steps
 through segment positions and multiplies every interval that still has a
@@ -31,12 +35,12 @@ from .tensors import (
     _exp,
     _log,
     _offsets,
+    _running,
     tensor_dim,
 )
 
 __all__ = [
     "TimeSeries",
-    "LieIncrement",
     "PiecewiseAbelianPath",
     "segment_signature",
     "chen_signature",
@@ -93,22 +97,6 @@ class TimeSeries:
         if i == self.times.size or self.times[i] != t:
             raise ValueError(f"time {t!r} is not a sample time")
         return i
-
-
-@dataclass(frozen=True, eq=False)
-class LieIncrement:
-    """Log-signature of a path over one interval; scalar slot exactly 0."""
-
-    tensor: TruncTensor
-    span: Tuple[float, float]
-
-    def __post_init__(self):
-        if self.tensor.coeffs[0] != 0.0:
-            raise ValueError("log-signature must have scalar slot 0")
-        t0, t1 = self.span
-        if not t0 < t1:
-            raise ValueError(f"empty or reversed span {self.span}")
-        object.__setattr__(self, "span", (float(t0), float(t1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,13 +228,12 @@ def chen_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int
     return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log=False)[0])
 
 
-def log_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> LieIncrement:
-    """Truncated log of the window signature, tagged with the window span."""
+def log_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> TruncTensor:
+    """Truncated log of the signature over a window of sample times; its
+    scalar slot is exactly 0."""
     i0, i1 = _window_indices(ts, window)
     deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
-    logsig = _lifted(ts.dim, m, deltas, [0, i1 - i0], log=True)[0]
-    return LieIncrement(TruncTensor(ts.dim, m, logsig),
-                        (float(ts.times[i0]), float(ts.times[i1])))
+    return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log=True)[0])
 
 
 def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAbelianPath:
@@ -267,33 +254,9 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     return PiecewiseAbelianPath(ts.dim, m, part, logs)
 
 
-def _partial_products(d: int, m: int, incs: np.ndarray) -> np.ndarray:
-    """Rows i = 0..N of the running product exp(L_0) (x) ... (x) exp(L_{i-1})
-    of the interval increments L (one per row of incs, shape (..., N, n));
-    leading axes hold independent paths and never change a bit of a row.
-
-    Level k of row i+1 is level k of row i plus the terms of the product
-    with exp(L_i) that read only levels below k of row i, so each level is
-    one prefix sum over the rows.  The terms are summed in the order _mul
-    sums them, so every row has the bits of the product loop.
-    """
-    offs = _offsets(d, m)
-    exps = _exp(d, m, incs)
-    lead, rows = incs.shape[:-2], incs.shape[-2]
-    out = np.zeros(lead + (rows + 1, offs[-1]))
-    out[..., 0] = 1.0
-    for k in range(1, m + 1):
-        inc = np.zeros(lead + (rows, d**k))
-        for j in range(k):
-            low = out[..., :-1, offs[j]:offs[j + 1], None]
-            inc += (low * exps[..., None, offs[k - j]:offs[k - j + 1]]).reshape(inc.shape)
-        np.cumsum(inc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
-    return out
-
-
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
     """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1."""
-    rows = _partial_products(p.dim, p.degree, p.increments)
+    rows = _running(p.dim, p.degree, _exp(p.dim, p.degree, p.increments))
     return [TruncTensor(p.dim, p.degree, g) for g in rows]
 
 

@@ -10,16 +10,17 @@ in concatenation order.  Everything in this module relies on that layout.
 
 All operations are pure: inputs are never mutated and results are freshly
 allocated.  Coefficients are 64-bit floats throughout.  The raw-array
-primitives (_mul, _exp, _log) broadcast over leading axes, so a stack of
-elements is one array of shape (..., N); every row goes through the same
-elementwise operations as the 1-D call, so batching never changes a bit.
+primitives (_mul, _exp, _log, and the running product _running) broadcast
+over leading axes, so a stack of elements is one array of shape (..., N);
+every row goes through the same elementwise operations as the 1-D call, so
+batching never changes a bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -222,6 +223,32 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
     return TruncTensor(a.dim, a.degree, _log(a.dim, a.degree, a.coeffs))
 
 
+def _running(d: int, m: int, b: np.ndarray, f: Optional[np.ndarray] = None,
+             start: float = 1.0) -> np.ndarray:
+    """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j.
+
+    b and f hold one row per step, shape (..., N, n).  Their scalar slots
+    are never read, so b may be a group element such as exp(L_j) as well;
+    a_0 = start * 1, and every row keeps that scalar slot.  Level k of
+    a_{j+1} reads only levels below k of a_j, so each level is one prefix
+    sum over the rows.  Within a level the terms are summed as _mul sums
+    them: f_j first (or 0), then a_j[l] (x) b_j[k-l] for ascending l.  With
+    start = 0 the l = 0 term, which is zero, is not added at all, so even
+    signed zeros keep their bits.
+    """
+    offs = _offsets(d, m)
+    lead, rows = b.shape[:-2], b.shape[-2]
+    out = np.zeros(lead + (rows + 1, offs[-1]))
+    out[..., 0] = start
+    for k in range(1, m + 1):
+        acc = np.zeros(lead + (rows, d**k)) if f is None else f[..., offs[k]:offs[k + 1]]
+        for l in range(0 if start else 1, k):
+            low = out[..., :-1, offs[l]:offs[l + 1], None]
+            acc = acc + (low * b[..., None, offs[k - l]:offs[k - l + 1]]).reshape(acc.shape)
+        np.cumsum(acc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
+    return out
+
+
 def _ladj(d: int, ma: int, a: np.ndarray, mc: int, c: np.ndarray) -> np.ndarray:
     """Raw adjoint of left multiplication: out[v] = sum_u a[u] * c[uv]."""
     offs_a = _offsets(d, ma)
@@ -307,32 +334,26 @@ def all_words(d: int, m: int) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _concat_tables(d: int, m: int):
-    """Index tables for vectorized products and adjoints on T^m(R^d).
+    """Index arrays (words, prefixes, suffixes) of every split w = uv in T^m(R^d).
 
-    Returns (cat, ok, rows, cols, srcs) where cat[u, v] is the flat index of
-    the concatenated word uv, ok marks pairs with |u|+|v| <= m, and the three
-    flat arrays satisfy: a right-multiplication matrix M_b (so that
-    M_b @ a == a (x) b) is assembled by M[rows, cols] = b[srcs].
-    Likewise x[cat] * ok is the suffix-lookup matrix S_x with
-    S_x[u, v] = x[uv], which drives both adjoints:
+    Entry t says that the word of flat index words[t] is the concatenation
+    of the words prefixes[t] and suffixes[t]; entries run over (u, v) in
+    flat index order.  They fill the right-multiplication matrix M_b, with
+    M_b @ a == a (x) b, by M[words, prefixes] = b[suffixes], and the
+    suffix-lookup matrix S_x, with S_x[u, v] = x[uv], by
+    S[prefixes, suffixes] = x[words]; S_x drives both adjoints:
     right_adjoint(b, x) == S_x @ b and left_adjoint(a, x) == S_x.T @ a.
     """
     offs = _offsets(d, m)
-    n = offs[-1]
-    cat = np.zeros((n, n), dtype=np.intp)
-    ok = np.zeros((n, n), dtype=bool)
-    for lu in range(m + 1):
-        for u in range(d**lu):
-            gu = offs[lu] + u
-            for lv in range(m + 1 - lu):
-                stride = d**lv
-                base = offs[lu + lv] + u * stride
-                gv0 = offs[lv]
-                for v in range(stride):
-                    cat[gu, gv0 + v] = base + v
-                    ok[gu, gv0 + v] = True
-    cols, srcs = np.nonzero(ok)
-    rows = cat[cols, srcs]
-    for arr in (cat, ok, rows, cols, srcs):
+    parts = []
+    for k in range(m + 1):
+        w = np.arange(d**k, dtype=np.intp)
+        for lv in range(k + 1):
+            u, v = divmod(w, d**lv)
+            parts.append((offs[k] + w, offs[k - lv] + u, offs[lv] + v))
+    words, prefixes, suffixes = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((suffixes, prefixes))
+    tables = words[order], prefixes[order], suffixes[order]
+    for arr in tables:
         arr.setflags(write=False)
-    return cat, ok, rows, cols, srcs
+    return tables

@@ -270,7 +270,6 @@ def test_scalar_slots_stay_zero():
     state = solve(px, py, keep_state=True).state
     np.testing.assert_array_equal(state.phi[..., 0], 0.0)
     np.testing.assert_array_equal(state.psi[..., 0], 0.0)
-    assert state.phi_at(2, 3).coeffs[0] == 0.0
 
 
 def test_solve_order1_examples():

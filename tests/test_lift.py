@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pabsig import (
-    LieIncrement,
     NumericError,
     PiecewiseAbelianPath,
     ShapeMismatchError,
@@ -140,8 +139,7 @@ def test_chen_invariant_under_reparametrization():
 def test_log_signature_single_segment_is_level_one():
     ts = TimeSeries([0.0, 2.0], [[0.0, 0.0], [0.4, 0.9]])
     inc = log_signature(ts, None, 4)
-    assert inc.span == (0.0, 2.0)
-    coeffs = inc.tensor.coeffs
+    coeffs = inc.coeffs
     np.testing.assert_allclose(coeffs[1:3], [0.4, 0.9], rtol=1e-15)
     assert coeffs[0] == 0.0
     np.testing.assert_allclose(coeffs[3:], 0.0, atol=1e-15)
@@ -153,7 +151,7 @@ def test_log_signature_two_segments_hand():
     )
     inc = log_signature(ts, None, 2)
     np.testing.assert_allclose(
-        inc.tensor.coeffs, [0.0, 1.0, 1.0, 0.0, 0.5, -0.5, 0.0], atol=1e-15
+        inc.coeffs, [0.0, 1.0, 1.0, 0.0, 0.5, -0.5, 0.0], atol=1e-15
     )
 
 
@@ -162,36 +160,25 @@ def test_log_signature_degree_one_telescopes():
     ts = rand_series(rng, 3, 5)
     inc = log_signature(ts, (ts.times[1], ts.times[4]), 1)
     want = ts.values[4] - ts.values[1]
-    np.testing.assert_allclose(inc.tensor.coeffs[1:], want, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(inc.coeffs[1:], want, rtol=1e-13, atol=1e-15)
 
 
 def test_log_signature_group_like_round_trip():
     rng = np.random.default_rng(13)
     ts = rand_series(rng, 2, 5)
     sig = chen_signature(ts, None, 4)
-    back = exp_trunc(log_signature(ts, None, 4).tensor)
+    back = exp_trunc(log_signature(ts, None, 4))
     np.testing.assert_allclose(back.coeffs, sig.coeffs, rtol=1e-12, atol=1e-13)
 
 
 def test_log_signature_projection_consistent():
     rng = np.random.default_rng(14)
     ts = rand_series(rng, 2, 4)
-    lo = log_signature(ts, None, 3).tensor
-    hi = log_signature(ts, None, 4).tensor
+    lo = log_signature(ts, None, 3)
+    hi = log_signature(ts, None, 4)
     np.testing.assert_allclose(
         project(hi, 3).coeffs, lo.coeffs, rtol=1e-12, atol=1e-14
     )
-
-
-def test_lie_increment_validation():
-    bad = unit(2, 2)
-    with pytest.raises(ValueError):
-        LieIncrement(bad, (0.0, 1.0))
-    ok = TruncTensor(2, 2, np.zeros(7))
-    with pytest.raises(ValueError):
-        LieIncrement(ok, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        LieIncrement(ok, (2.0, 1.0))
 
 
 def test_pab_validation():
@@ -244,7 +231,7 @@ def test_build_pab_single_interval_matches_log_signature():
     rng = np.random.default_rng(16)
     ts = rand_series(rng, 2, 5)
     p = build_pab(ts, [ts.times[0], ts.times[-1]], 3)
-    want = log_signature(ts, None, 3).tensor
+    want = log_signature(ts, None, 3)
     np.testing.assert_array_equal(p.increments[0], want.coeffs)
 
 
@@ -328,7 +315,7 @@ def test_build_pab_matches_per_segment_chen_loop(d):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
             # each row is bitwise the lift of its interval alone
             for i, row in enumerate(got):
-                alone = log_signature(ts, (part[i], part[i + 1]), m).tensor
+                alone = log_signature(ts, (part[i], part[i + 1]), m)
                 assert row.tobytes() == alone.coeffs.tobytes()
         sig = chen_signature(ts, None, m).coeffs
         want = chen_loop(d, m, ts.increments())

@@ -20,7 +20,7 @@ from pabsig import (
     word_index,
 )
 
-from pabsig.tensors import _exp, _log, _mul
+from pabsig.tensors import _concat_tables, _exp, _ladj, _log, _mul, _radj, _running
 
 from helpers import level_one, rand_scalar_free, rand_tensor
 
@@ -343,3 +343,55 @@ def test_batched_primitives_match_rows_bitwise():
             assert prod_one[r].tobytes() == _mul(d, m, a[r], b[0, 0]).tobytes()
             assert e[r].tobytes() == _exp(d, m, free[r]).tobytes()
             assert lg[r].tobytes() == _log(d, m, group[r]).tobytes()
+
+
+def test_running_matches_product_loop():
+    rng = np.random.default_rng(63)
+    for d, m in ((1, 4), (2, 3), (3, 2)):
+        n = tensor_dim(d, m)
+        b = rng.standard_normal((5, n)) * 0.5
+        f = rng.standard_normal((5, n))
+        f[:, 0] = 0.0
+        free = b.copy()
+        free[:, 0] = 0.0                      # the scalar slot of b is never read
+        for start, ff in ((0.0, f), (1.0, f), (1.0, None)):
+            got = _running(d, m, b, ff, start=start)
+            a = np.zeros(n)
+            a[0] = start
+            assert got[0].tobytes() == a.tobytes()
+            for j in range(5):
+                a = a + _mul(d, m, a, free[j]) + (0.0 if ff is None else ff[j])
+                scale = max(1.0, float(np.abs(a).max()))
+                assert np.abs(got[j + 1] - a).max() <= 1e-13 * scale
+
+
+def test_running_leading_axes_match_single_calls_bitwise():
+    rng = np.random.default_rng(64)
+    for d, m in ((1, 3), (2, 3), (3, 2)):
+        n = tensor_dim(d, m)
+        b = rng.standard_normal((2, 3, 4, n))
+        f = rng.standard_normal((2, 3, 4, n))
+        f[..., 0] = 0.0
+        for start, ff in ((0.0, f), (1.0, None)):
+            got = _running(d, m, b, ff, start=start)
+            for r in np.ndindex(2, 3):
+                alone = _running(d, m, b[r], None if ff is None else ff[r], start=start)
+                assert got[r].tobytes() == alone.tobytes()
+
+
+def test_concat_tables_fill_products_and_adjoints():
+    rng = np.random.default_rng(65)
+    for d in (1, 2, 3):
+        for m in range(5):
+            n = tensor_dim(d, m)
+            words, prefixes, suffixes = _concat_tables(d, m)
+            a, b, x = rng.standard_normal((3, n))
+            mb = np.zeros((n, n))
+            mb[words, prefixes] = b[suffixes]     # M_b @ a == a (x) b
+            sx = np.zeros((n, n))
+            sx[prefixes, suffixes] = x[words]     # S_x[u, v] == x[uv]
+            for got, want in ((mb @ a, _mul(d, m, a, b)),
+                              (sx @ b, _radj(d, m, b, m, x)),
+                              (sx.T @ a, _ladj(d, m, a, m, x))):
+                scale = max(1.0, float(np.abs(want).max()))
+                assert np.abs(got - want).max() <= 1e-13 * scale
