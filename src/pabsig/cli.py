@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -319,7 +320,10 @@ def _cmd_selftest(_args) -> int:
     return EXIT_NUMERIC if failed else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and every main() call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="pabsig",
         description="Signature kernels of time series via log-linear path lifts",

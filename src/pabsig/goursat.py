@@ -44,12 +44,21 @@ Both sweeps carry a leading pair axis: solve_pairs() sweeps B pairs of one
 shape together, and solve() and solve_order1() are its B = 1 case, so a
 pair gives the same bits alone and in any batch.
 
+The sweep loops do only per-step work.  The scalar sweep reads the
+coefficients of each anti-diagonal as one slice of a zero-copy skewed view
+of the cell coefficients, and skips the gate tests when no interval
+repeats.  The coupled sweep finds once per call which rows of each pair
+have a cell that fires; the other rows advance u through _corner without
+per-cell gate lookups.
+
 Memory: a coupled sweep keeps two rows of state, the adjoint states as
 (B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
-one (B, 2N, N) matrix of the current x increment; the scalar sweep keeps the
-(B, N_x, N_y) cell coefficients and four anti-diagonals of u.  The full
-grids exist only when asked for.  solve_pairs() splits a group of pairs so
-that one call holds at most about _BATCH_VALUES float64 values (4 MiB).
+one (B, 2N, N) matrix of the current x increment and three (B, N_x, N_y)
+boolean gate masks; the scalar sweep keeps the (B, N_x, N_y) cell
+coefficients, which its skewed view shares, and four anti-diagonals of u.
+The full grids exist only when asked for.  solve_pairs() splits a group of
+pairs so that one call holds at most about _BATCH_VALUES float64 values
+(4 MiB).
 """
 
 from __future__ import annotations
@@ -324,8 +333,12 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     first slot is c = <x, y_j>.  The psi recursion along the row does not
     involve u: it is the running product tensors._running of y_j from 0,
     one prefix sum per tensor level.  u then advances on Python floats, which
-    is the same IEEE arithmetic as numpy scalars.  With a state (B = 1) the
-    rows are written into its grids.
+    is the same IEEE arithmetic as numpy scalars.  The gate masks of the
+    curvature correction, and for each pair which of its rows have a cell
+    that fires, are worked out once per call; a row of a pair where none
+    fires advances u through _corner alone, and only a firing row reads the
+    masks cell by cell and the second differences of u.  With a state (B = 1) the rows are written
+    into its grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
@@ -338,6 +351,12 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     phi_bnd = _boundary_partials(d, m, X)
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
+    fire_s = rep_x[:, :, None] & pure_y[:, None]
+    fire_t = rep_y[:, None] & pure_x[:, :, None]
+    fire = fire_s | fire_t
+    row_fires = fire.any(axis=2).T.tolist()      # [i][b]: a cell of row i fires
+    # the level >= k+1 part of every y_j, rows indexed by prefix words
+    tails = [Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k) for k in range(1, m)]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
     v = np.zeros((B, 2 * n, n))
@@ -361,11 +380,9 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         # a running product from psi[0] = 0; phi and psi have no scalar part
         phi_lo = z_new[:, :-1, :n]
         f = u_prev[:, :-1, None] * Y
-        for k in range(1, m):
-            # the level >= k+1 part of y_j, rows indexed by prefix words
-            tails = Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k)
+        for k, tail in enumerate(tails, 1):
             lo = phi_lo[..., None, 1:offs[m - k + 1]]
-            f[..., offs[k]:offs[k + 1]] += (lo @ tails)[..., 0, :]
+            f[..., offs[k]:offs[k + 1]] += (lo @ tail)[..., 0, :]
         z_new[:, :, n:] = _running(d, m, Y, f, start=0.0)
 
         c = r[..., 0]
@@ -373,27 +390,33 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         g2 = np.einsum('bjn,bjn->bj', z[:, 1:], r)
         g3 = np.einsum('bjn,bjn->bj', z_new[:, :-1], r)
         g4 = np.einsum('bjn,bjn->bj', z_new[:, 1:], r)
-        fire_s = rep_x[:, i, None] & pure_y
-        fire_t = rep_y & pure_x[:, i, None]
-        fire = fire_s | fire_t
-        dt_row = np.zeros((B, ny))
-        dt_row[:, 1:] = (u_prev[:, 2:] + u_prev[:, :-2]) - 2.0 * u_prev[:, 1:-1]
+        fires = row_fires[i]
+        if any(fires):
+            dt_row = np.zeros((B, ny))
+            dt_row[:, 1:] = (u_prev[:, 2:] + u_prev[:, :-2]) - 2.0 * u_prev[:, 1:-1]
 
         u_rows = []
         for b in range(B):
-            up, up2 = u_prev[b].tolist(), u_prev2[b].tolist()
-            fire_b, fs, ft = fire[b].tolist(), fire_s[b].tolist(), fire_t[b].tolist()
-            dt = dt_row[b].tolist()
+            up = u_prev[b].tolist()
             gs = zip(g1[b].tolist(), g2[b].tolist(), g3[b].tolist(), g4[b].tolist())
             u = 1.0
             row = [u]
-            for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
-                curv = None
-                if fire_b[j]:
-                    curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
-                            + (dt[j] if ft[j] else 0.0))
-                u = _corner(u00, u01, u, cj, g, curv)
-                row.append(u)
+            if fires[b]:
+                up2 = u_prev2[b].tolist()
+                fire_b, fs, ft = (fire[b, i].tolist(), fire_s[b, i].tolist(),
+                                  fire_t[b, i].tolist())
+                dt = dt_row[b].tolist()
+                for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
+                    curv = None
+                    if fire_b[j]:
+                        curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
+                                + (dt[j] if ft[j] else 0.0))
+                    u = _corner(u00, u01, u, cj, g, curv)
+                    row.append(u)
+            else:
+                for u00, u01, cj, g in zip(up, up[1:], c[b].tolist(), gs):
+                    u = _corner(u00, u01, u, cj, g)
+                    row.append(u)
             u_rows.append(row)
         u_new = np.array(u_rows)
 
@@ -414,35 +437,48 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     X and Y hold level-1 increments, shape (B, N_x, d) and (B, N_y, d).
     Each anti-diagonal of cells is one _corner call without adjoint terms;
     its cells depend only on earlier anti-diagonals, so the result equals
-    the row-major sweep.  Only the last four anti-diagonals of corners are
-    kept, as rows of four (B, N_x+2) buffers indexed by 1 + the x index of
-    the corner; boundary corners are never written and stay 1.  With a grid
-    (B = 1, shape (N_x+1, N_y+1)) every corner is also written there.
+    the row-major sweep.  The coefficients of anti-diagonal p are one basic
+    slice of a read-only skewed view of c, which shares c's buffer and so
+    adds no memory.  Only the last four anti-diagonals of corners are kept,
+    as four (B, N_x+2) buffers indexed by 1 + the x index of the corner;
+    boundary corners are never written and stay 1.  When no interval of any
+    pair repeats its neighbour (sampled Brownian paths, say), no cell can
+    fire and the per-diagonal gate tests are skipped.  With a grid (B = 1,
+    shape (N_x+1, N_y+1)) every corner is also written there.
     """
-    c = X @ Y.transpose(0, 2, 1)
+    c = np.ascontiguousarray(X @ Y.transpose(0, 2, 1))
     B, nx, ny = c.shape
+    # cs[:, p, i] is c[:, i, p - i].  c is C-contiguous, so within a pair
+    # c[i, p - i] sits at flat offset p + i*(ny - 1), and the largest offset,
+    # nx*ny - 1 (p = nx+ny-2, i = nx-1), stays inside the buffer.
+    size = c.itemsize
+    cs = np.lib.stride_tricks.as_strided(
+        c, (B, nx + ny - 1, nx), (c.strides[0], size, size * (ny - 1)),
+        writeable=False)
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
+    gated = bool(rep_x.any() or rep_y.any())
     # cell (i, p - i) reads column ny-1-p+i of the reversed y side
     rep_yr = rep_y[:, ::-1]
-    diags = np.ones((4, B, nx + 2))
+    before, u0, u1, new = np.ones((4, B, nx + 2))
     for p in range(nx + ny - 1):
         lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
-        before, u0, u1, new = (diags[(p + k) % 4] for k in range(-1, 3))
         cells = slice(lo + 1, hi + 1)
         up = slice(lo + 2, hi + 2)
-        col = slice(ny - 1 - p + lo, ny - 1 - p + hi)
         u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
-        ii = np.arange(lo, hi)
-        fire_s, fire_t = rep_x[:, lo:hi], rep_yr[:, col]
         curv = None
-        if fire_s.any() or fire_t.any():
-            curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
-                    + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
-        new[:, up] = _corner(u00, u01, u10, c[:, ii, p - ii], curv=curv)
+        if gated:
+            col = slice(ny - 1 - p + lo, ny - 1 - p + hi)
+            fire_s, fire_t = rep_x[:, lo:hi], rep_yr[:, col]
+            if fire_s.any() or fire_t.any():
+                curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
+                        + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
+        new[:, up] = _corner(u00, u01, u10, cs[:, p, lo:hi], curv=curv)
         if grid is not None:
+            ii = np.arange(lo, hi)
             grid[ii + 1, p - ii + 1] = new[0, up]
-    return diags[(nx + ny) % 4][:, nx + 1]
+        before, u0, u1, new = u0, u1, new, before
+    return u1[:, nx + 1]
 
 
 def solve_order1(increments_x: Sequence[Sequence[float]],

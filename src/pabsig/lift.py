@@ -245,10 +245,14 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     part = np.asarray(partition, dtype=np.float64)
     if part.ndim != 1 or part.size < 2:
         raise ValueError("partition needs at least 2 points")
-    idx = [ts.locate(t) for t in part]
-    if idx[0] != 0 or idx[-1] != ts.times.size - 1:
+    times = ts.times
+    idx = np.searchsorted(times, part)
+    off = times[np.minimum(idx, times.size - 1)] != part
+    if off.any():
+        raise ValueError(f"time {float(part[off.argmax()])!r} is not a sample time")
+    if idx[0] != 0 or idx[-1] != times.size - 1:
         raise ValueError("partition must cover the whole series")
-    if any(b <= a for a, b in zip(idx, idx[1:])):
+    if np.any(np.diff(idx) <= 0):
         raise ValueError("partition must be strictly increasing")
     logs = _lifted(ts.dim, m, ts.increments(), idx, log=True)
     return PiecewiseAbelianPath(ts.dim, m, part, logs)

@@ -136,6 +136,33 @@ def test_bad_flags_exit_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    line_csv(x, [1.0, 0.5])
+    d = tmp_path / "set"
+    d.mkdir()
+    line_csv(d / "a.csv", [1.0, 0.0])
+    line_csv(d / "b.csv", [0.3, 1.0])
+    calls = (["kernel", str(x), str(x)], ["gram", str(d)],
+             ["kernel", str(x), str(x), "--degree", "0"])
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [out[0] for out in fresh] == [0, 0, 2]
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == fresh
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_logsig_straight_line(tmp_path, capsys):
     x = tmp_path / "x.csv"
     line_csv(x, [2.0, 0.0], n=4)

@@ -281,9 +281,22 @@ def test_solve_order1_examples():
     assert sol.state.phi is None
 
 
-def four_point_sweep(X, Y):
-    """Row-major degree-1 recursion with the plain 4-point cell average."""
+def repeats(X):
+    """repeats[k]: increment k equals increment k-1 up to relative 1e-12."""
+    out = [False]
+    for prev, cur in zip(X, X[1:]):
+        size = max(np.abs(prev).max(), np.abs(cur).max())
+        out.append(bool(np.abs(cur - prev).max() <= 1e-12 * size))
+    return out
+
+
+def four_point_sweep(X, Y, curvature=False):
+    """Row-major degree-1 recursion with the plain 4-point cell average and,
+    with curvature, the -(c/12)(D_s + D_t) term on cells whose x or y
+    increment repeats its predecessor."""
     c = X @ Y.T
+    rep_x = repeats(X) if curvature else [False] * len(X)
+    rep_y = repeats(Y) if curvature else [False] * len(Y)
     u = np.ones((len(X) + 1, len(Y) + 1))
     for i in range(len(X)):
         for j in range(len(Y)):
@@ -293,6 +306,10 @@ def four_point_sweep(X, Y):
             f3 = u[i + 1, j] * c[i, j]
             f4 = (a + f1) * c[i, j]
             u[i + 1, j + 1] = a + 0.25 * ((f1 + f4) + (f2 + f3))
+            if rep_x[i] or rep_y[j]:
+                ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] else 0.0
+                dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] else 0.0
+                u[i + 1, j + 1] -= (c[i, j] / 12.0) * (ds + dt)
     return u
 
 
@@ -303,6 +320,32 @@ def test_solve_order1_matches_row_major_reference():
     Y = rng.standard_normal((7, 2)) * 0.5
     got = solve_order1(X, Y, keep_state=True)
     np.testing.assert_array_equal(got.state.u, four_point_sweep(X, Y))
+
+
+def test_solve_order1_grids_match_row_major_reference_bitwise():
+    # the scalar sweep reads anti-diagonals of cell coefficients through a
+    # skewed view; every shape, including single rows and columns, must
+    # give the row-major grid bit for bit, with and without repeats
+    rng = np.random.default_rng(34)
+    for nx, ny in ((1, 1), (1, 9), (9, 1), (2, 9), (9, 2), (7, 5)):
+        X = rng.standard_normal((nx, 2)) * 0.4
+        Y = rng.standard_normal((ny, 2)) * 0.4
+        # runs of equal increments, where the correction fires
+        Xr = np.repeat(X[:(nx + 2) // 3], 3, axis=0)[:nx]
+        Yr = np.repeat(Y[:(ny + 1) // 2], 2, axis=0)[:ny]
+        for a, b in ((X, Y), (Xr, Yr), (X, Yr), (Xr, Y)):
+            got = solve_order1(a, b, keep_state=True)
+            want = four_point_sweep(a, b, curvature=True)
+            assert same_bits(got.state.u, want)
+            assert same_bits(got.value, want[-1, -1])
+            assert same_bits(solve_order1(a, b).value, want[-1, -1])
+    # a straight line against a kinked path sampled along its pieces
+    X = line_series([1.0, 0.5], 8).increments()
+    Y = series_with_variation(rng, 2, 3, 1.2, n_per_segment=4).increments()
+    want = four_point_sweep(X, Y, curvature=True)
+    assert want[-1, -1] != four_point_sweep(X, Y)[-1, -1]
+    for a, b, grid in ((X, Y, want), (Y, X, four_point_sweep(Y, X, curvature=True))):
+        assert same_bits(solve_order1(a, b, keep_state=True).state.u, grid)
 
 
 def test_curvature_correction_fires_on_repeated_increments():
@@ -424,6 +467,34 @@ def test_solve_pairs_entries_match_single_solves_bitwise():
         got = solve_pairs([a for a, _ in mates] + [pairs[k][0]],
                           [b for _, b in mates] + [pairs[k][1]])
         assert same_bits(got[-1], alone[k])
+
+
+def test_coupled_sweep_splits_plain_and_firing_rows():
+    # x runs straight over its first four intervals, so rows 1-3 fire the
+    # correction against the pure y intervals and rows 4-7 take the plain
+    # row loop; Brownian batch-mates of the same shape fire nowhere and take
+    # the plain loop on every row
+    rng = np.random.default_rng(93)
+    times = np.linspace(0.0, 1.0, 9)
+    for m in (2, 3):
+        steps = np.vstack([np.repeat(rng.standard_normal((1, 2)) * 0.3, 4, axis=0),
+                           rng.standard_normal((4, 2)) * 0.3])
+        tsx = TimeSeries(times, np.vstack([np.zeros(2), np.cumsum(steps, axis=0)]))
+        tsy = rand_series(rng, 2, 6)
+        px, py = build_pab(tsx, times, m), build_pab(tsy, tsy.times, m)
+        assert repeats(px.increments) == [False] + [True] * 3 + [False] * 4
+        mates = [(build_pab(a, a.times, m), build_pab(b, b.times, m))
+                 for a, b in ((rand_series(rng, 2, 8), rand_series(rng, 2, 6))
+                              for _ in range(3))]
+        pairs = mates[:2] + [(px, py)] + mates[2:]
+        alone = [solve(a, b).value for a, b in pairs]
+        got = solve_pairs([a for a, _ in pairs], [b for _, b in pairs])
+        assert same_bits(got, alone)
+        ref = manual_sweep(px, py)
+        state = solve(px, py, keep_state=True).state
+        np.testing.assert_allclose(state.u, ref.u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(state.phi, ref.phi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(state.psi, ref.psi, rtol=1e-12, atol=1e-12)
 
 
 def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):

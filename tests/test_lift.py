@@ -247,6 +247,14 @@ def test_build_pab_rejects_bad_partitions():
         build_pab(ts, [0.0, 2.0, 1.0, 3.0], 2)
 
 
+def test_build_pab_names_the_first_off_grid_point():
+    ts = TimeSeries([0.0, 1.0, 2.0, 3.0], np.zeros((4, 1)))
+    for part, bad in (([0.0, 1.5, 2.0, 3.0], "1.5"), ([0.0, 1.0, 3.0, 3.5], "3.5"),
+                      ([0.0, 1.5, 3.0, 3.5], "1.5"), ([-0.5, 1.0, 3.0], "-0.5")):
+        with pytest.raises(ValueError, match=rf"^time {bad} is not a sample time$"):
+            build_pab(ts, part, 2)
+
+
 def test_partial_signatures_match_chen():
     rng = np.random.default_rng(17)
     ts = rand_series(rng, 2, 8)
