@@ -47,15 +47,15 @@ pair gives the same bits alone and in any batch.
 The sweep loops do only per-step work.  The scalar sweep reads the
 coefficients of each anti-diagonal as one slice of a zero-copy skewed view
 of the cell coefficients, and skips the gate tests when no interval
-repeats.  The coupled sweep finds once per call which rows of each pair
-have a cell that fires; the other rows advance u through _corner without
-per-cell gate lookups.
+repeats.  The coupled sweep finds once per call which rows have a cell
+that fires, and builds the gate masks and second differences only for
+those rows.
 
 Memory: a coupled sweep keeps two rows of state, the adjoint states as
 (B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
-one (B, 2N, N) matrix of the current x increment and three (B, N_x, N_y)
-boolean gate masks; the scalar sweep keeps the (B, N_x, N_y) cell
-coefficients, which its skewed view shares, and four anti-diagonals of u.
+one (B, 2N, N) matrix of the current x increment; the scalar sweep keeps
+the (B, N_x, N_y) cell coefficients, which its skewed view shares, and
+four anti-diagonals of u.
 The full grids exist only when asked for.  solve_pairs() splits a group of
 pairs so that one call holds at most about _BATCH_VALUES float64 values
 (4 MiB).
@@ -333,12 +333,10 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     first slot is c = <x, y_j>.  The psi recursion along the row does not
     involve u: it is the running product tensors._running of y_j from 0,
     one prefix sum per tensor level.  u then advances on Python floats, which
-    is the same IEEE arithmetic as numpy scalars.  The gate masks of the
-    curvature correction, and for each pair which of its rows have a cell
-    that fires, are worked out once per call; a row of a pair where none
-    fires advances u through _corner alone, and only a firing row reads the
-    masks cell by cell and the second differences of u.  With a state (B = 1) the rows are written
-    into its grids.
+    is the same IEEE arithmetic as numpy scalars.  Which rows have a cell
+    that fires the curvature correction in some pair is worked out once per
+    call; the gate masks and second differences of u are built only for
+    those rows.  With a state (B = 1) the rows are written into its grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
@@ -351,10 +349,11 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     phi_bnd = _boundary_partials(d, m, X)
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
-    fire_s = rep_x[:, :, None] & pure_y[:, None]
-    fire_t = rep_y[:, None] & pure_x[:, :, None]
-    fire = fire_s | fire_t
-    row_fires = fire.any(axis=2).T.tolist()      # [i][b]: a cell of row i fires
+    # row i of pair b has a cell that fires iff x_i repeats against some pure
+    # y_j, or is pure against some repeating y_j
+    row_fires = ((rep_x & pure_y.any(axis=1)[:, None])
+                 | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
+    quiet = [False] * ny
     # the level >= k+1 part of every y_j, rows indexed by prefix words
     tails = [Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k) for k in range(1, m)]
     u_prev = np.ones((B, ny + 1))
@@ -391,32 +390,31 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         g3 = np.einsum('bjn,bjn->bj', z_new[:, :-1], r)
         g4 = np.einsum('bjn,bjn->bj', z_new[:, 1:], r)
         fires = row_fires[i]
-        if any(fires):
+        if fires:
+            fire_s = rep_x[:, i, None] & pure_y
+            fire_t = rep_y & pure_x[:, i, None]
+            fire = (fire_s | fire_t).tolist()
+            fire_s, fire_t = fire_s.tolist(), fire_t.tolist()
             dt_row = np.zeros((B, ny))
             dt_row[:, 1:] = (u_prev[:, 2:] + u_prev[:, :-2]) - 2.0 * u_prev[:, 1:-1]
 
         u_rows = []
         for b in range(B):
             up = u_prev[b].tolist()
+            fire_b = quiet
+            if fires:
+                fire_b, fs, ft = fire[b], fire_s[b], fire_t[b]
+                up2, dt = u_prev2[b].tolist(), dt_row[b].tolist()
             gs = zip(g1[b].tolist(), g2[b].tolist(), g3[b].tolist(), g4[b].tolist())
             u = 1.0
             row = [u]
-            if fires[b]:
-                up2 = u_prev2[b].tolist()
-                fire_b, fs, ft = (fire[b, i].tolist(), fire_s[b, i].tolist(),
-                                  fire_t[b, i].tolist())
-                dt = dt_row[b].tolist()
-                for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
-                    curv = None
-                    if fire_b[j]:
-                        curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
-                                + (dt[j] if ft[j] else 0.0))
-                    u = _corner(u00, u01, u, cj, g, curv)
-                    row.append(u)
-            else:
-                for u00, u01, cj, g in zip(up, up[1:], c[b].tolist(), gs):
-                    u = _corner(u00, u01, u, cj, g)
-                    row.append(u)
+            for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
+                curv = None
+                if fire_b[j]:
+                    curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
+                            + (dt[j] if ft[j] else 0.0))
+                u = _corner(u00, u01, u, cj, g, curv)
+                row.append(u)
             u_rows.append(row)
         u_new = np.array(u_rows)
 

@@ -91,12 +91,15 @@ class TimeSeries:
         """First differences of the samples, shape (n_segments, dim)."""
         return np.diff(self.values, axis=0)
 
-    def locate(self, t: float) -> int:
-        """Index of a sample time; raises if t is not on the grid."""
-        i = int(np.searchsorted(self.times, t))
-        if i == self.times.size or self.times[i] != t:
-            raise ValueError(f"time {t!r} is not a sample time")
-        return i
+    def locate(self, t):
+        """Index of a sample time, or an array of indices for an array of
+        times; raises on the first time that is not on the grid."""
+        t = np.asarray(t, dtype=np.float64)
+        idx = np.searchsorted(self.times, t)
+        off = self.times[np.minimum(idx, self.times.size - 1)] != t
+        if off.any():
+            raise ValueError(f"time {float(t[off][0])!r} is not a sample time")
+        return int(idx) if idx.ndim == 0 else idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +248,8 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     part = np.asarray(partition, dtype=np.float64)
     if part.ndim != 1 or part.size < 2:
         raise ValueError("partition needs at least 2 points")
-    times = ts.times
-    idx = np.searchsorted(times, part)
-    off = times[np.minimum(idx, times.size - 1)] != part
-    if off.any():
-        raise ValueError(f"time {float(part[off.argmax()])!r} is not a sample time")
-    if idx[0] != 0 or idx[-1] != times.size - 1:
+    idx = ts.locate(part)
+    if idx[0] != 0 or idx[-1] != ts.times.size - 1:
         raise ValueError("partition must cover the whole series")
     if np.any(np.diff(idx) <= 0):
         raise ValueError("partition must be strictly increasing")

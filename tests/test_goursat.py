@@ -469,11 +469,11 @@ def test_solve_pairs_entries_match_single_solves_bitwise():
         assert same_bits(got[-1], alone[k])
 
 
-def test_coupled_sweep_splits_plain_and_firing_rows():
+def test_coupled_sweep_gates_only_firing_rows():
     # x runs straight over its first four intervals, so rows 1-3 fire the
-    # correction against the pure y intervals and rows 4-7 take the plain
-    # row loop; Brownian batch-mates of the same shape fire nowhere and take
-    # the plain loop on every row
+    # correction against the pure y intervals and rows 0 and 4-7 build no
+    # gate masks; Brownian batch-mates of the same shape fire nowhere, so in
+    # rows 1-3 they read all-false masks
     rng = np.random.default_rng(93)
     times = np.linspace(0.0, 1.0, 9)
     for m in (2, 3):

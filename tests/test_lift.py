@@ -255,6 +255,15 @@ def test_build_pab_names_the_first_off_grid_point():
             build_pab(ts, part, 2)
 
 
+def test_locate_takes_an_array_of_times():
+    ts = TimeSeries([0.0, 0.5, 2.0], np.zeros((3, 1)))
+    np.testing.assert_array_equal(ts.locate([0.0, 2.0, 0.5]), [0, 2, 1])
+    with pytest.raises(ValueError, match=r"^time 0.25 is not a sample time$"):
+        ts.locate([0.0, 0.25, 3.0])
+    with pytest.raises(ValueError, match=r"^time 3.0 is not a sample time$"):
+        ts.locate(np.float64(3.0))
+
+
 def test_partial_signatures_match_chen():
     rng = np.random.default_rng(17)
     ts = rand_series(rng, 2, 8)
