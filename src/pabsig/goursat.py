@@ -49,7 +49,12 @@ coefficients of each anti-diagonal as one slice of a zero-copy skewed view
 of the cell coefficients, and skips the gate tests when no interval
 repeats.  The coupled sweep finds once per call which rows have a cell
 that fires, and builds the gate masks and second differences only for
-those rows.
+those rows.  Along a row, u at the new corner is affine in its left
+neighbour u[i+1, j]: the coupled sweep evaluates _corner once on the whole
+row for the slope and once for the offset, and then advances u by one
+multiply-add per cell.  That rounds differently from one _corner call per
+cell, by a few ulps of the terms; step() and the scalar sweep keep the
+per-cell form.
 
 Memory: a coupled sweep keeps two rows of state, the adjoint states as
 (B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
@@ -268,10 +273,11 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
 
     Without the grids this is solve_pairs() on the one pair, so a pair
     gives the same bits here as inside any batch.  Each row of the coupled
-    sweep runs in two passes: phi, psi and the adjoint terms of the row are
-    computed for all columns at once (psi by a prefix sum per tensor
-    level), then u marches along the row through _corner, the update of
-    step().
+    sweep runs in two passes: phi, psi, the adjoint terms and the two
+    coefficients of the u update are computed for all columns at once (psi
+    by a prefix sum per tensor level), then u marches along the row by one
+    multiply-add per cell.  The update is _corner, the update of step(),
+    which is affine in the left neighbour of the new corner.
 
     At degree 1 the adjoint states never feed back into u, so unless the
     grids are asked for, the value comes from the scalar sweep of
@@ -332,11 +338,15 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     phi (x) x + L*_psi(x), and Y @ V^T is [R*_x(y_j) | R*_{y_j}(x)], whose
     first slot is c = <x, y_j>.  The psi recursion along the row does not
     involve u: it is the running product tensors._running of y_j from 0,
-    one prefix sum per tensor level.  u then advances on Python floats, which
-    is the same IEEE arithmetic as numpy scalars.  Which rows have a cell
-    that fires the curvature correction in some pair is worked out once per
-    call; the gate masks and second differences of u are built only for
-    those rows.  With a state (B = 1) the rows are written into its grids.
+    one prefix sum per tensor level.  The new u[i+1, j+1] is
+    alpha_j u[i+1, j] + beta_j, and _corner gives both coefficients for the
+    whole row: alpha_j = 1 + c/2, less c/12 where D_s fires, and beta_j is
+    the update with u[i+1, j] = 0.  u then advances by one multiply-add per
+    cell on Python floats, which is the same IEEE arithmetic as numpy
+    scalars.  Which rows have a cell that fires the curvature correction in
+    some pair is worked out once per call; the gate masks and second
+    differences of u are built only for those rows.  With a state (B = 1)
+    the rows are written into its grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
@@ -353,7 +363,6 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     # y_j, or is pure against some repeating y_j
     row_fires = ((rep_x & pure_y.any(axis=1)[:, None])
                  | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
-    quiet = [False] * ny
     # the level >= k+1 part of every y_j, rows indexed by prefix words
     tails = [Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k) for k in range(1, m)]
     u_prev = np.ones((B, ny + 1))
@@ -385,35 +394,28 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         z_new[:, :, n:] = _running(d, m, Y, f, start=0.0)
 
         c = r[..., 0]
-        g1 = np.einsum('bjn,bjn->bj', z[:, :-1], r)
-        g2 = np.einsum('bjn,bjn->bj', z[:, 1:], r)
-        g3 = np.einsum('bjn,bjn->bj', z_new[:, :-1], r)
-        g4 = np.einsum('bjn,bjn->bj', z_new[:, 1:], r)
-        fires = row_fires[i]
-        if fires:
+        g = [np.einsum('bjn,bjn->bj', w, r)
+             for w in (z[:, :-1], z[:, 1:], z_new[:, :-1], z_new[:, 1:])]
+        # u[i+1, j+1] = alpha_j u[i+1, j] + beta_j: _corner is affine in u10,
+        # and of the curvature terms only D_s reads u10, with coefficient 1
+        u00, u01 = u_prev[:, :-1], u_prev[:, 1:]
+        fire_s = curv = None
+        if row_fires[i]:
             fire_s = rep_x[:, i, None] & pure_y
             fire_t = rep_y & pure_x[:, i, None]
-            fire = (fire_s | fire_t).tolist()
-            fire_s, fire_t = fire_s.tolist(), fire_t.tolist()
-            dt_row = np.zeros((B, ny))
-            dt_row[:, 1:] = (u_prev[:, 2:] + u_prev[:, :-2]) - 2.0 * u_prev[:, 1:-1]
+            dt = np.zeros((B, ny))
+            dt[:, 1:] = (u01[:, 1:] + u00[:, :-1]) - 2.0 * u00[:, 1:]
+            curv = (np.where(fire_s, u_prev2[:, :-1] - 2.0 * u00, 0.0)
+                    + np.where(fire_t, dt, 0.0))
+        alpha = _corner(0.0, 0.0, 1.0, c, None, fire_s).tolist()
+        beta = _corner(u00, u01, 0.0, c, g, curv).tolist()
 
         u_rows = []
-        for b in range(B):
-            up = u_prev[b].tolist()
-            fire_b = quiet
-            if fires:
-                fire_b, fs, ft = fire[b], fire_s[b], fire_t[b]
-                up2, dt = u_prev2[b].tolist(), dt_row[b].tolist()
-            gs = zip(g1[b].tolist(), g2[b].tolist(), g3[b].tolist(), g4[b].tolist())
+        for alpha_b, beta_b in zip(alpha, beta):
             u = 1.0
             row = [u]
-            for j, (u00, u01, cj, g) in enumerate(zip(up, up[1:], c[b].tolist(), gs)):
-                curv = None
-                if fire_b[j]:
-                    curv = (((u + up2[j]) - 2.0 * u00 if fs[j] else 0.0)
-                            + (dt[j] if ft[j] else 0.0))
-                u = _corner(u00, u01, u, cj, g, curv)
+            for a, b in zip(alpha_b, beta_b):
+                u = a * u + b
                 row.append(u)
             u_rows.append(row)
         u_new = np.array(u_rows)

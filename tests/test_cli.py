@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from pabsig import cli
 from pabsig.cli import _ParseFailure, _parse_rows, main
 
 from pabsig import TruncTensor
+
+# pytest's pythonpath setting does not reach child processes
+CHILD_ENV = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 
 
 def write_series(path, times, values):
@@ -336,7 +341,7 @@ def test_module_entry_point(tmp_path):
     flat_series(x)
     proc = subprocess.run(
         [sys.executable, "-m", "pabsig", "kernel", str(x), str(x)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1.00000000000\n"
@@ -347,7 +352,7 @@ def test_lift_overflow_exits_numeric(tmp_path):
     write_series(big, [0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, 2e200], [-1e200, 3e200]])
     proc = subprocess.run(
         [sys.executable, "-m", "pabsig", "kernel", str(big), str(big), "--degree", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 4
     assert proc.stdout == ""
@@ -368,7 +373,7 @@ def test_sweep_overflow_exits_numeric(tmp_path, scale, degree):
     for command in (["kernel", str(big), str(big)], ["gram", str(tmp_path)]):
         proc = subprocess.run(
             [sys.executable, "-m", "pabsig", *command, "--degree", str(degree)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=CHILD_ENV,
         )
         assert proc.returncode == 4
         assert proc.stdout == ""

@@ -160,6 +160,20 @@ def test_convergence_experiment_deterministic():
         assert ra.stderr == rb.stderr
 
 
+def test_convergence_lifts_each_path_once_per_factor(monkeypatch):
+    from pabsig import experiment
+
+    cfg = ExperimentConfig(n_fine=32, factors=(2, 4, 8), degrees=(1, 2, 3),
+                           repetitions=3, seed=4)
+    lifts = []
+    lift = experiment.build_pab
+    monkeypatch.setattr(experiment, "build_pab",
+                        lambda ts, part, m: lifts.append(m) or lift(ts, part, m))
+    convergence_experiment(cfg)
+    assert len(lifts) == 2 * cfg.repetitions * len(cfg.factors)
+    assert set(lifts) == {max(cfg.degrees)}
+
+
 def test_convergence_single_repetition_stderr_zero():
     cfg = ExperimentConfig(n_fine=16, factors=(4,), degrees=(1,), repetitions=1)
     (rec,) = convergence_experiment(cfg)

@@ -339,6 +339,22 @@ def test_build_pab_matches_per_segment_chen_loop(d):
         assert np.abs(sig - want).max() <= 1e-13 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_lift_prefix_is_the_lower_degree_lift_bitwise(d):
+    # level n of a signature and of its logarithm reads no higher level, so
+    # a degree-M lift holds every degree-m lift, m <= M, as its leading
+    # coefficients; every 5 leaves a ragged 3-segment last interval
+    rng = np.random.default_rng(60 + d)
+    ts = rand_series(rng, d, 128, scale=1.0)
+    for every in (1, 4, 64, 5):
+        part = thin_partition(ts, every)
+        lifts = {m: build_pab(ts, part, m).increments for m in range(1, 6)}
+        for top, full in lifts.items():
+            for m in range(1, top + 1):
+                prefix = full[:, :tensor_dim(d, m)]
+                assert prefix.tobytes() == lifts[m].tobytes(), (every, top, m)
+
+
 def test_lift_overflow_raises_numeric_error():
     ts = TimeSeries([0.0, 1.0, 2.0], [[0.0, 0.0], [1e200, 2e200], [-1e200, 3e200]])
     lifts = (

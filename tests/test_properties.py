@@ -150,3 +150,40 @@ def test_corner_on_arrays_matches_each_cell_bitwise(batch):
                       None if g is None else tuple(gc[k] for gc in g),
                       None if curv is None else curv[k])
         assert bits(one) == bits(got[k])
+
+
+@st.composite
+def affine_cells(draw):
+    n = draw(st.integers(1, 8))
+    u00, u01, u10, c, ds_rest, dt = (draw(vectors(n, 3.0)) for _ in range(6))
+    g = draw(st.none() | st.tuples(*[vectors(n, 3.0)] * 4))
+    flags = hnp.arrays(np.bool_, n)
+    fire_s = draw(st.none() | flags)
+    fire_t = draw(st.none() | flags)
+    return u00, u01, u10, c, g, fire_s, fire_t, ds_rest, dt
+
+
+@PROPERTY
+@given(affine_cells())
+def test_corner_is_affine_in_u10(cells):
+    # the coupled sweep advances u along a row as alpha*u10 + beta: D_s is
+    # the only curvature term that reads u10, with weight 1 where it fires
+    u00, u01, u10, c, g, fire_s, fire_t, ds_rest, dt = cells
+    curv = rest = None
+    s_on = np.zeros(len(c), bool) if fire_s is None else fire_s
+    t_on = np.zeros(len(c), bool) if fire_t is None else fire_t
+    if fire_s is not None or fire_t is not None:
+        rest = np.where(s_on, ds_rest, 0.0) + np.where(t_on, dt, 0.0)
+        curv = np.where(s_on, u10 + ds_rest, 0.0) + np.where(t_on, dt, 0.0)
+    alpha = _corner(0.0, 0.0, 1.0, c, None, fire_s)
+    beta = _corner(u00, u01, 0.0, c, g, rest)
+    want = _corner(u00, u01, u10, c, g, curv)
+    # rounding is bounded by a few ulps of the sum of absolute terms
+    ag = (np.zeros_like(c),) * 4 if g is None else tuple(np.abs(x) for x in g)
+    a = np.abs(u00) + np.abs(u01) + np.abs(u10)
+    f1, f2, f3 = (np.abs(u * c) + gk for u, gk in zip((u00, u01, u10), ag))
+    f4 = (a + f1) * np.abs(c) + ag[3]
+    curv_abs = np.abs(u10) + np.abs(ds_rest) + np.abs(dt)
+    scale = a + 0.25 * (f1 + f2 + f3 + f4) + np.abs(c) / 12.0 * curv_abs
+    err = np.abs(alpha * u10 + beta - want)
+    assert (err <= 8 * np.finfo(float).eps * scale).all()
