@@ -21,6 +21,7 @@ not promised.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -43,12 +44,21 @@ __all__ = [
 ]
 
 
+def _whole(name: str, value, low: int) -> int:
+    """value as an int; it must be an integer (not a bool) of at least low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of the convergence experiment.
 
-    factors and degrees are normalized to ascending order; every factor
-    must divide n_fine so coarse grids are exact subgrids.
+    Counts, factors, degrees and the seed are integers (not bools), the seed
+    >= 0 and the rest >= 1; horizon is finite and > 0.  factors and degrees
+    are normalized to ascending tuples; every factor must divide n_fine so
+    coarse grids are exact subgrids.
     """
 
     dim: int = 2
@@ -60,23 +70,18 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.n_fine < 1:
-            raise ValueError(f"n_fine must be >= 1, got {self.n_fine}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        factors = tuple(sorted(int(k) for k in self.factors))
-        degrees = tuple(sorted(int(m) for m in self.degrees))
+        for name, low in (("dim", 1), ("n_fine", 1), ("repetitions", 1), ("seed", 0)):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), low))
+        h = self.horizon
+        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not 0 < h < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {h!r}")
+        factors = tuple(sorted(_whole("factor", k, 1) for k in self.factors))
+        degrees = tuple(sorted(_whole("degree", m, 1) for m in self.degrees))
         if not factors or not degrees:
             raise ValueError("factors and degrees must be non-empty")
         for k in factors:
-            if k < 1 or self.n_fine % k:
+            if self.n_fine % k:
                 raise ValueError(f"factor {k} does not divide n_fine={self.n_fine}")
-        if degrees[0] < 1:
-            raise ValueError(f"degrees must be >= 1, got {degrees[0]}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "degrees", degrees)
 
@@ -88,11 +93,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("factors", "degrees"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass(frozen=True)

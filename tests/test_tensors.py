@@ -20,7 +20,7 @@ from pabsig import (
     word_index,
 )
 
-from pabsig.tensors import _concat_tables, _exp, _ladj, _log, _mul, _radj, _running
+from pabsig.tensors import _exp, _ladj, _log, _mul, _operator, _radj, _running
 
 from helpers import level_one, rand_scalar_free, rand_tensor
 
@@ -379,19 +379,56 @@ def test_running_leading_axes_match_single_calls_bitwise():
                 assert got[r].tobytes() == alone.tobytes()
 
 
+def adjoint_by_words(a, c, left):
+    """The word definition: left, out[v] = sum_u a[u] c[uv]; right,
+    out[u] = sum_v a[v] c[uv]; words of a above c's degree drop out."""
+    d = c.dim
+    out = np.zeros(len(c.coeffs))
+    for s in all_words(d, min(a.degree, c.degree)):
+        for t in all_words(d, c.degree - len(s)):
+            w = word_index(s + t if left else t + s, d)
+            out[word_index(t, d)] += a.coeff(s) * c.coeffs[w]
+    return out
+
+
 def test_concat_tables_fill_products_and_adjoints():
     rng = np.random.default_rng(65)
     for d in (1, 2, 3):
         for m in range(5):
             n = tensor_dim(d, m)
-            words, prefixes, suffixes = _concat_tables(d, m)
+            words = all_words(d, m)
             a, b, x = rng.standard_normal((3, n))
-            mb = np.zeros((n, n))
-            mb[words, prefixes] = b[suffixes]     # M_b @ a == a (x) b
-            sx = np.zeros((n, n))
-            sx[prefixes, suffixes] = x[words]     # S_x[u, v] == x[uv]
-            for got, want in ((mb @ a, _mul(d, m, a, b)),
-                              (sx @ b, _radj(d, m, b, m, x)),
-                              (sx.T @ a, _ladj(d, m, a, m, x))):
+            mt = np.zeros((n, n))                 # M_x^T[u, uv] == x[v]
+            sx = np.zeros((n, n))                 # S_x[u, v] == x[uv]
+            for iu, u in enumerate(words):
+                for iv, v in enumerate(words):
+                    if len(u) + len(v) <= m:
+                        mt[iu, word_index(u + v, d)] = x[iv]
+                        sx[iu, iv] = x[word_index(u + v, d)]
+            op = np.zeros((2, 2 * n, n))
+            _operator(d, m, np.stack([x, b]), op)
+            assert op[0, :n].tobytes() == mt.tobytes()
+            assert op[0, n:].tobytes() == sx.tobytes()
+            for got, want in ((op[0, :n].T @ a, _mul(d, m, a, x)),
+                              (_radj(d, m, b, x), sx @ b),
+                              (_ladj(d, m, a, x), sx.T @ a)):
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-13 * scale
+            alone = np.zeros((2 * n, n))
+            _operator(d, m, b, alone)
+            assert alone.tobytes() == op[1].tobytes()
+
+
+def test_adjoints_of_mixed_degrees_match_words():
+    rng = np.random.default_rng(66)
+    for d in (1, 2, 3):
+        for ma in range(5):
+            for mc in range(1, 5):
+                a = rand_tensor(rng, d, ma)
+                c = rand_tensor(rng, d, mc)
+                for got, left in ((left_adjoint(a, c), True),
+                                  (right_adjoint(a, c), False)):
+                    want = adjoint_by_words(a, c, left)
+                    assert (got.dim, got.degree) == (d, mc)
+                    scale = max(1.0, float(np.abs(want).max()))
+                    assert np.abs(got.coeffs - want).max() <= 1e-13 * scale
