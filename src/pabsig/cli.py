@@ -2,8 +2,8 @@
 
 Commands: kernel, logsig, gram, convergence, selftest.  Input series are
 CSV files with a mandatory header ``time,x1,...,xd``, comma separated,
-rows sorted by time.  Exit codes: 0 success, 2 usage or parse failure,
-3 data shape failure, 4 numeric failure (non-finite result or failed
+rows sorted by time.  Exit codes: 0 success, 2 usage, parse or output
+failure, 3 data shape failure, 4 numeric failure (non-finite result or failed
 numeric check).
 """
 
@@ -17,7 +17,6 @@ import json
 import sys
 import warnings
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -25,12 +24,13 @@ from .experiment import (
     ExperimentConfig,
     convergence_experiment,
     gram_matrix,
+    simulate_bm,
     write_records_csv,
 )
 from .goursat import kernel, solve_order1
 from .lift import TimeSeries, build_pab, thin_partition
 from .oracle import linear_kernel_closed_form
-from .tensors import NumericError, ShapeMismatchError, all_words
+from .tensors import NumericError, all_words
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,7 +39,7 @@ EXIT_NUMERIC = 4
 
 
 class _ParseFailure(Exception):
-    """Malformed input file or configuration; maps to exit code 2."""
+    """Malformed input or config, or unwritable output; maps to exit code 2."""
 
 
 def _read_series(path: str) -> TimeSeries:
@@ -99,11 +99,19 @@ def _parse_rows(path: str, text: str) -> np.ndarray:
     return np.array(data)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write(args, text, doc) -> int:
+    """Write text(), or the JSON of doc() under --format json, to --output or
+    to stdout; only the chosen rendering is built.  An --output that cannot
+    be written is a _ParseFailure."""
+    body = json.dumps(doc()) + "\n" if args.format == "json" else text()
+    if not args.output:
+        sys.stdout.write(body)
+        return EXIT_OK
+    try:
+        Path(args.output).write_text(body, encoding="utf-8")
+    except OSError as exc:
+        raise _ParseFailure(f"cannot write {args.output}: {exc}")
+    return EXIT_OK
 
 
 def _machine(v: float) -> str:
@@ -116,39 +124,23 @@ def _cmd_kernel(args) -> int:
     value = kernel(ts_x, ts_y, args.degree,
                    thin_partition(ts_x, args.every),
                    thin_partition(ts_y, args.every))
-    if args.output is None and args.format is None:
-        print(format(value, "#.12g"))
-        return EXIT_OK
-    if (args.format or "csv") == "json":
-        doc = json.dumps({"kernel": float(value)}) + "\n"
-    else:
-        doc = f"kernel\n{_machine(value)}\n"
-    _emit(doc, args.output)
-    return EXIT_OK
+    human = args.output is None and args.format is None
+    return _write(args,
+                  lambda: f"{value:#.12g}\n" if human else f"kernel\n{_machine(value)}\n",
+                  lambda: {"kernel": float(value)})
 
 
 def _cmd_logsig(args) -> int:
     ts = _read_series(args.x)
     pab = build_pab(ts, thin_partition(ts, args.every), args.degree)
-    spans = zip(pab.partition[:-1], pab.partition[1:])
+    rows = [(t0, t1, *row) for t0, t1, row
+            in zip(pab.partition[:-1], pab.partition[1:], pab.increments)]
     labels = ["w_" + "".join(str(l) for l in w) for w in all_words(ts.dim, args.degree)]
-    if (args.format or "csv") == "json":
-        doc = json.dumps({
-            "columns": ["t_start", "t_end"] + labels,
-            "rows": [
-                [float(t0), float(t1)] + [float(v) for v in row]
-                for (t0, t1), row in zip(spans, pab.increments)
-            ],
-        }) + "\n"
-    else:
-        lines = ["t_start,t_end," + ",".join(labels)]
-        for (t0, t1), row in zip(spans, pab.increments):
-            fields = [_machine(t0), _machine(t1)]
-            fields += [_machine(v) for v in row]
-            lines.append(",".join(fields))
-        doc = "\n".join(lines) + "\n"
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _write(args,
+                  lambda: "\n".join([",".join(["t_start", "t_end", *labels])]
+                                    + [",".join(map(_machine, r)) for r in rows]) + "\n",
+                  lambda: {"columns": ["t_start", "t_end", *labels],
+                           "rows": [[float(v) for v in r] for r in rows]})
 
 
 def _cmd_gram(args) -> int:
@@ -167,13 +159,10 @@ def _cmd_gram(args) -> int:
             print("Gram matrix fails the positive semi-definite check",
                   file=sys.stderr)
             return EXIT_NUMERIC
-    if (args.format or "csv") == "json":
-        doc = json.dumps({"files": [p.name for p in paths],
-                          "gram": [[float(v) for v in row] for row in matrix]}) + "\n"
-    else:
-        doc = "\n".join(",".join(_machine(v) for v in row) for row in matrix) + "\n"
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _write(args,
+                  lambda: "\n".join(",".join(map(_machine, row)) for row in matrix) + "\n",
+                  lambda: {"files": [p.name for p in paths],
+                           "gram": [[float(v) for v in row] for row in matrix]})
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -205,30 +194,23 @@ def _cmd_convergence(args) -> int:
     if not all(np.isfinite(r.mean_error) for r in records):
         print("experiment produced non-finite errors", file=sys.stderr)
         return EXIT_NUMERIC
-    if (args.format or "csv") == "json":
-        doc = json.dumps([
-            {"degree": r.degree, "factor": r.factor,
-             "mean_error": float(r.mean_error), "stderr": float(r.stderr),
-             "pairs": int(r.errors.size)}
-            for r in records
-        ]) + "\n"
-    else:
+
+    def table():
         buf = io.StringIO()
         write_records_csv(records, buf)
-        doc = buf.getvalue()
-    _emit(doc, args.output)
-    return EXIT_OK
+        return buf.getvalue()
+
+    return _write(args, table,
+                  lambda: [{"degree": r.degree, "factor": r.factor,
+                            "mean_error": float(r.mean_error), "stderr": float(r.stderr),
+                            "pairs": int(r.errors.size)}
+                           for r in records])
 
 
 def _selftest_checks():
     rng = np.random.default_rng(2024)
     from . import tensors as tn
     from .goursat import solve
-
-    def simulate_like(rng, n):
-        values = np.vstack([np.zeros(2),
-                            np.cumsum(rng.standard_normal((n, 2)) * 0.2, axis=0)])
-        return TimeSeries(np.linspace(0.0, 1.0, n + 1), values)
 
     def adjoint_duality():
         for _ in range(50):
@@ -267,8 +249,8 @@ def _selftest_checks():
         return None
 
     def degree1_collapse():
-        ts_x = simulate_like(rng, 8)
-        ts_y = simulate_like(rng, 8)
+        ts_x = simulate_bm(2, 8, 0.04 * 8, rng)     # steps of s.d. 0.2
+        ts_y = simulate_bm(2, 8, 0.04 * 8, rng)
         full = solve(build_pab(ts_x, ts_x.times, 1),
                      build_pab(ts_y, ts_y.times, 1), keep_state=True)
         fast = solve_order1(ts_x.increments(), ts_y.increments(), keep_state=True)
@@ -330,14 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def common(p):
         p.add_argument("--degree", type=int, default=1, metavar="M",
                        help="truncation degree of the lift (default 1)")
         p.add_argument("--every", type=int, default=1, metavar="K",
                        help="partition stride over sample points (default 1)")
-        if output:
-            p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
-            p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--output", metavar="FILE", help="write here instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"), default=None)
 
     p = sub.add_parser("kernel", help="kernel value of two series")
     p.add_argument("x", help="first series CSV")
@@ -380,18 +361,11 @@ def main(argv=None) -> int:
         parser.error("--every must be >= 1")
     try:
         return args.func(args)
-    except _ParseFailure as exc:
+    except (_ParseFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
+        if isinstance(exc, _ParseFailure):
+            return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_SHAPE
 
 
 if __name__ == "__main__":

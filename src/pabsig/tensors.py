@@ -261,16 +261,21 @@ def _concat_tables(d: int, m: int):
     gives M_b @ a == a (x) b, and S_x[prefixes, suffixes] = x[words] gives
     S_x[u, v] == x[uv], so S_x @ b == R*_b(x) and S_x.T @ a == L*_a(x).
     """
-    offs = _offsets(d, m)
-    parts = []
-    for k in range(m + 1):
-        w = np.arange(d**k, dtype=np.intp)
-        for lv in range(k + 1):
-            u, v = divmod(w, d**lv)
-            parts.append((offs[k] + w, offs[k - lv] + u, offs[lv] + v))
-    words, prefixes, suffixes = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((suffixes, prefixes))
-    tables = words[order], prefixes[order], suffixes[order]
+    offs = np.array(_offsets(d, m))
+    flat = np.arange(offs[-1])
+    level = np.repeat(np.arange(m + 1), np.diff(offs))     # level of each flat index
+    sizes = [d**p * offs[m + 1 - p] for p in range(m + 1)]
+    tables = tuple(np.empty(sum(sizes), dtype=np.intp) for _ in range(3))
+    words, prefixes, suffixes = tables
+    stop = 0
+    for p, size in enumerate(sizes):
+        # prefixes u of level p, each followed by every suffix v of level s <= m - p
+        start, stop = stop, stop + size
+        u, v = flat[:d**p], flat[:offs[m + 1 - p]]
+        s = level[v]
+        words[start:stop] = (u[:, None] * d**s + (offs[p + s] - offs[s] + v)).ravel()
+        prefixes[start:stop] = np.repeat(offs[p] + u, len(v))
+        suffixes[start:stop] = np.tile(v, len(u))
     for arr in tables:
         arr.setflags(write=False)
     return tables

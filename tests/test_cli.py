@@ -346,6 +346,45 @@ def test_convergence_config_failures(tmp_path, capsys):
         assert not caught, (key, value)
 
 
+@pytest.mark.parametrize("command", ["kernel", "logsig", "gram", "convergence"])
+def test_unwritable_output_exits_usage(tmp_path, capsys, command):
+    x = tmp_path / "x.csv"
+    line_csv(x, [1.0, 0.5])
+    d = tmp_path / "set"
+    d.mkdir()
+    line_csv(d / "a.csv", [1.0, 0.0])
+    argv = {"kernel": ["kernel", str(x), str(x)],
+            "logsig": ["logsig", str(x)],
+            "gram": ["gram", str(d)],
+            "convergence": ["convergence", "--config", str(small_config(tmp_path))]}
+    target = tmp_path / "missing" / "x"
+    assert main([*argv[command], "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["logsig", "gram"])
+def test_output_file_matches_stdout(tmp_path, capsys, command, fmt):
+    rng = np.random.default_rng(73)
+    d = tmp_path / "set"
+    d.mkdir()
+    times = np.linspace(0.0, 1.0, 9)
+    for i in range(2):
+        write_series(d / f"p{i}.csv", times,
+                     rng.standard_normal((9, 2)).cumsum(axis=0) * 0.3)
+    argv = ["logsig", str(d / "p0.csv")] if command == "logsig" else ["gram", str(d)]
+    argv += ["--degree", "2", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "result.txt"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()

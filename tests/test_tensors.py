@@ -20,7 +20,7 @@ from pabsig import (
     word_index,
 )
 
-from pabsig.tensors import _exp, _ladj, _log, _mul, _operator, _radj, _running
+from pabsig.tensors import _concat_tables, _exp, _ladj, _log, _mul, _operator, _radj, _running
 
 from helpers import level_one, rand_scalar_free, rand_tensor
 
@@ -417,6 +417,8 @@ def test_concat_tables_fill_products_and_adjoints():
             alone = np.zeros((2 * n, n))
             _operator(d, m, b, alone)
             assert alone.tobytes() == op[1].tobytes()
+            _, pre, suf = _concat_tables(d, m)
+            assert np.all(np.diff(pre * n + suf) > 0)   # (prefix, suffix) order
 
 
 def test_adjoints_of_mixed_degrees_match_words():
