@@ -102,9 +102,9 @@ def _parse_rows(path: str, text: str) -> np.ndarray:
 def _write(args, text, doc) -> int:
     """Write text(), or the JSON of doc() under --format json, to --output or
     to stdout; only the chosen rendering is built.  An --output that cannot
-    be written is a _ParseFailure."""
+    be written, the empty path included, is a _ParseFailure."""
     body = json.dumps(doc()) + "\n" if args.format == "json" else text()
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(body)
         return EXIT_OK
     try:

@@ -48,21 +48,30 @@ The sweep loops do only per-step work.  The scalar sweep reads each
 anti-diagonal of cell coefficients as one slice of a zero-copy skewed view,
 and skips the gate tests when no interval repeats.  The coupled sweep
 finds once per call which rows have a cell that fires, and builds gate
-masks and second differences only for those rows.  Per row it fills one
-matrix V = [M_x^T ; S_x] of the x increment by tensors._operator, which
-carries every product with x.  Along a row, u at the new corner is affine
-in its left neighbour u[i+1, j]: _corner runs once on the whole row for
-the slope and once for the offset, and u advances by one multiply-add per
-cell.  That rounds differently from one _corner call per cell, by a few
-ulps of the terms; step() and the scalar sweep keep the per-cell form.
+masks and second differences only for those rows.  It holds a grid row as
+one array of state rows [phi | psi], with u in the scalar slot of phi,
+which the scheme keeps at 0.  Per row it fills one matrix V = [M_x^T ; S_x]
+of the x increment by tensors._operator, which carries every product with
+x: one matmul by V, with the identity added, updates phi and its u x term
+at once; psi, a running product, is written straight into the new row;
+and the four adjoint terms of every cell are two row-wise dot products.
+Along a row, u at the new corner is affine in its left neighbour
+u[i+1, j].  The weights that depend only on the cell coefficients come
+from _corner on basis inputs once per block of rows (_weights); per row
+the offset is one linear combination, plus _corner on the fired curvature
+terms, and u advances by one multiply-add per cell.  That rounds
+differently from one _corner call per cell, by a few ulps of the terms;
+step() and the scalar sweep keep the per-cell form.
 
-Memory: a coupled sweep keeps two rows of state, the adjoint states as
-(B, N_y+1, 2N) arrays where N is the number of tensor coefficients, plus
-the (B, 2N, N) matrix V; the scalar sweep keeps the (B, N_x, N_y) cell
-coefficients, which its skewed view shares, and four anti-diagonals of u.
-The full grids exist only when asked for.  solve_pairs() splits a group of
-pairs so that one call holds at most about _BATCH_VALUES float64 values
-(4 MiB).
+Memory: a coupled sweep keeps two rows of state, as one
+(2, B, N_y+1, 2N) array where N is the number of tensor coefficients,
+plus the (B, 2N, N) matrix V, the (B, N_y, 2N) right adjoints of the row,
+the (B, N_y, N) psi forcing, and for a block of K = N/2 rows the cell
+coefficients and four weights, five (B, K, N_y) arrays; the scalar sweep
+keeps the (B, N_x, N_y) cell coefficients, which its skewed view shares,
+and four anti-diagonals of u.  The full grids exist only when asked for.
+solve_pairs() splits a group of pairs so that one call holds at most
+about _BATCH_VALUES float64 values (4 MiB).
 """
 
 from __future__ import annotations
@@ -93,7 +102,7 @@ _ROUNDING = 1e-12
 # Working set, in float64 values, that one pair-batched sweep call may hold;
 # solve_pairs() runs larger groups of pairs in consecutive chunks.  Per pair
 # the scalar sweep holds the N_x x N_y cell coefficients, and the coupled
-# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 11-19) plus
+# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 15-21) plus
 # the 2N x N matrix of the current x increment.
 _BATCH_VALUES = 1 << 19
 
@@ -194,6 +203,20 @@ def _corner(u00, u01, u10, c, g=None, curv=None):
     return u if curv is None else u - (c / 12.0) * curv
 
 
+def _weights(c, fire_s=None):
+    """Weights alpha, w01, w00, wg0 of u10, u01, u00 and g[0] in _corner.
+
+    _corner is linear in its corners, adjoint terms and curvature terms,
+    and the weights depend only on c, so up to rounding
+    _corner(u00, u01, u10, c, g, curv) is alpha u10 + w01 u01 + w00 u00
+    + wg0 g[0] + (g[1] + g[2] + g[3])/4 + _corner(0, 0, 0, c, None, rest),
+    where rest is curv without the u10 of D_s in the cells fire_s marks.
+    Each weight is _corner on basis inputs.
+    """
+    return (_corner(0.0, 0.0, 1.0, c, None, fire_s), _corner(0.0, 1.0, 0.0, c),
+            _corner(1.0, 0.0, 0.0, c), _corner(0.0, 0.0, 0.0, c, (1.0, 0.0, 0.0, 0.0)))
+
+
 def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the running signature with scalar slot zeroed,
     i.e. the group partial products minus 1 (leading axes hold other paths)."""
@@ -272,11 +295,16 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
 
     Without the grids this is solve_pairs() on the one pair, so a pair
     gives the same bits here as inside any batch.  Each row of the coupled
-    sweep runs in two passes: phi, psi, the adjoint terms and the two
-    coefficients of the u update are computed for all columns at once (psi
-    by a prefix sum per tensor level), then u marches along the row by one
-    multiply-add per cell.  The update is _corner, the update of step(),
-    which is affine in the left neighbour of the new corner.
+    sweep runs in two passes.  First phi (one matmul by the row's matrix
+    of x products), psi (a prefix sum per tensor level, written in place),
+    the adjoint terms (two row-wise dot products) and the offsets of the u
+    update are computed for all columns at once; then u marches along the
+    row by one multiply-add per cell.  The update is _corner, the update
+    of step(), which is affine in the left neighbour of the new corner;
+    the weights that depend only on the cell coefficients are taken from
+    _corner once per block of N/2 rows, N the number of tensor
+    coefficients, so a block holds about as many values as a grid row of
+    adjoint states.
 
     At degree 1 the adjoint states never feed back into u, so unless the
     grids are asked for, the value comes from the scalar sweep of
@@ -331,30 +359,44 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     """Far-corner u of the coupled sweep over B pairs of one shape.
 
     X and Y hold the increments of the pairs, shape (B, N_x, N) and
-    (B, N_y, N).  The adjoint states of a row live side by side in one
-    array z = [phi | psi] of shape (B, N_y+1, 2N).  Per row, the matrix
-    V = tensors._operator of x = x_i gives z @ V = phi (x) x + L*_psi(x)
-    and Y @ V^T = [R*_x(y_j) | R*_{y_j}(x)], whose first slot is
-    c = <x, y_j>.  The psi recursion along the row does not involve u: it
-    is the running product tensors._running of y_j from 0, forced by
-    L*_phi(y_j) from the level blocks of y_j (the split tables were no
-    faster there and moved degree >= 2 bits).  The new u[i+1, j+1] is
-    alpha_j u[i+1, j] + beta_j, and _corner gives both coefficients for the
-    whole row: alpha_j = 1 + c/2, less c/12 where D_s fires, and beta_j is
-    the update with u[i+1, j] = 0.  u then advances by one multiply-add per
+    (B, N_y, N).  Grid rows i and i+1 live in one (2, B, N_y+1, 2N) buffer
+    whose entry j is the state row [phi | psi] at corner j.  The scalar
+    slot of phi, which the update forces to 0, carries u instead: u at
+    corner j-1 of the same grid row, so u is shifted by one column.  Per
+    row, tensors._operator fills V = [M_x^T ; S_x] of x = x_i, and then
+    Y @ V^T = [R*_x(y_j) | R*_{y_j}(x)], whose first slot is <x, y_j>.
+    With the identity added to the M_x^T block, one matmul of row i by V
+    gives phi + phi (x) x + L*_psi(x) + u x at every column: the first row
+    of M_x^T is x, so the u in the scalar slot brings the u x term.  Then
+    the scalar slots of the new row take u[i, j], unshifted, so that the
+    psi forcing u[i, j] y_j + L*_phi(y_j) is one matmul per tensor level
+    of the new phi rows by the levels of y_j.  psi is the running product
+    tensors._running of y_j from 0 under that forcing, written straight
+    into the new row.  The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)>
+    at the four corners of the cells are two row-wise dot products over
+    both grid rows, which skip the scalar slots.
+
+    The new u[i+1, j+1] is alpha_j u[i+1, j] + beta_j.  _corner is linear
+    in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
+    c/12 where D_s fires), of u[i, j], of u[i, j+1] and of the first
+    adjoint term depend only on the cell coefficient c = <x_i, y_j>.  They
+    come from _corner on basis inputs (_weights), once per block of
+    K = N/2 rows, so that the block's coefficients and weights take about
+    as many values as one grid row of state.  beta_j is then one linear
+    combination per row, plus _corner on the fired curvature terms in rows
+    where the correction fires, and u advances by one multiply-add per
     cell on Python floats, which is the same IEEE arithmetic as numpy
-    scalars.  Which rows have a cell that fires the curvature correction in
-    some pair is worked out once per call; the gate masks and second
-    differences of u are built only for those rows.  With a state (B = 1)
-    the rows are written into its grids.
+    scalars.  Which rows have a cell that fires in some pair is worked out
+    once per call.  With a state (B = 1) the rows are written into its
+    grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
     offs = _offsets(d, m)
 
-    z = np.zeros((B, ny + 1, 2 * n))
-    z[:, :, n:] = _boundary_partials(d, m, Y)
-    z_new = np.empty_like(z)
+    rows = np.zeros((2, B, ny + 1, 2 * n))
+    rows[0, :, :, n:] = _boundary_partials(d, m, Y)
+    rows[0, :, 1:, 0] = 1.0
     phi_bnd = _boundary_partials(d, m, X)
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
@@ -362,53 +404,62 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     # y_j, or is pure against some repeating y_j
     row_fires = ((rep_x & pure_y.any(axis=1)[:, None])
                  | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
-    # the level >= k+1 part of every y_j, rows indexed by prefix words
-    tails = [Y[..., offs[k + 1]:].reshape(B, ny, -1, d**k) for k in range(1, m)]
+    # levels k..m of every y_j, rows indexed by prefix words of levels 0..m-k
+    y_from = [Y[..., offs[k]:].reshape(B, ny, -1, d**k) for k in range(1, m + 1)]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
     v = np.zeros((B, 2 * n, n))
+    diag = v.reshape(B, -1)[:, :n * n:n + 1]    # the diagonal of the M_x^T block
     r = np.empty((B, ny, 2 * n))
+    f = np.empty((B, ny, 1, n))
+    block = max(1, n // 2)
+    Yt = Y.transpose(0, 2, 1)
 
     for i in range(nx):
-        x = X[:, i]
-        _operator(d, m, x, v)
+        t = i % block                           # row i is row t of its block
+        if t == 0:
+            alpha_blk = w01 = w00 = wg0 = None  # free the last block first: peak memory
+            c_blk = X[:, i:i + block] @ Yt
+            fire_s = None
+            if any(row_fires[i:i + block]):
+                fire_s = rep_x[:, i:i + block, None] & pure_y[:, None]
+            alpha_blk, w01, w00, wg0 = _weights(c_blk, fire_s)
+        k0, k1 = i % 2, 1 - i % 2               # rows i and i+1 in the buffer
+        old, new = rows[k0], rows[k1]
+        _operator(d, m, X[:, i], v)
         np.matmul(Y, v.transpose(0, 2, 1), out=r)
+        diag[...] = 1.0
 
-        z_new[:, 0, :n] = phi_bnd[:, i + 1]
-        phi = z_new[:, 1:, :n]
-        np.matmul(z[:, 1:], v, out=phi)
-        phi += u_prev[:, :-1, None] * x[:, None]
-        phi += z[:, 1:, :n]
-        phi[..., 0] = 0.0
+        new[:, 0, :n] = phi_bnd[:, i + 1]
+        np.matmul(old[:, 1:], v, out=new[:, 1:, :n])
+        new[..., 0] = u_prev
 
-        # psi[j+1] = psi[j] (x) (1 + y_j) + u_prev[j] y_j + L*_phi[j](y_j),
-        # a running product from psi[0] = 0; phi and psi have no scalar part
-        phi_lo = z_new[:, :-1, :n]
-        f = u_prev[:, :-1, None] * Y
-        for k, tail in enumerate(tails, 1):
-            lo = phi_lo[..., None, 1:offs[m - k + 1]]
-            f[..., offs[k]:offs[k + 1]] += (lo @ tail)[..., 0, :]
-        z_new[:, :, n:] = _running(d, m, Y, f, start=0.0)
+        # psi[j+1] = psi[j] (x) (1 + y_j) + u[i, j] y_j + L*_phi[j](y_j), a
+        # running product from psi[0] = 0; u[i, j] is the scalar slot of phi[j]
+        lo = new[:, :-1, None]
+        for level, y_k in enumerate(y_from, 1):
+            np.matmul(lo[..., :offs[m - level + 1]], y_k,
+                      out=f[..., offs[level]:offs[level + 1]])
+        _running(d, m, Y, f[..., 0, :], start=0.0, out=new[..., n:])
 
-        c = r[..., 0]
-        g = [np.einsum('bjn,bjn->bj', w, r)
-             for w in (z[:, :-1], z[:, 1:], z_new[:, :-1], z_new[:, 1:])]
-        # u[i+1, j+1] = alpha_j u[i+1, j] + beta_j: _corner is affine in u10,
-        # and of the curvature terms only D_s reads u10, with coefficient 1
+        # adjoint terms at the corners (i, j), (i+1, j) and (i, j+1), (i+1, j+1)
+        g_lo = (rows[:, :, :-1, None, 1:] @ r[..., 1:, None])[..., 0, 0]
+        g_hi = (rows[:, :, 1:, None, 1:] @ r[..., 1:, None])[..., 0, 0]
+        g0, g2, g1, g3 = g_lo[k0], g_lo[k1], g_hi[k0], g_hi[k1]
         u00, u01 = u_prev[:, :-1], u_prev[:, 1:]
-        fire_s = curv = None
+        beta = (w01[:, t] * u01 + w00[:, t] * u00 + wg0[:, t] * g0
+                + 0.25 * (g1 + g2 + g3))
         if row_fires[i]:
-            fire_s = rep_x[:, i, None] & pure_y
+            # D_s without its u[i+1, j] term, which alpha carries, plus D_t
             fire_t = rep_y & pure_x[:, i, None]
             dt = np.zeros((B, ny))
             dt[:, 1:] = (u01[:, 1:] + u00[:, :-1]) - 2.0 * u00[:, 1:]
-            curv = (np.where(fire_s, u_prev2[:, :-1] - 2.0 * u00, 0.0)
+            curv = (np.where(fire_s[:, t], u_prev2[:, :-1] - 2.0 * u00, 0.0)
                     + np.where(fire_t, dt, 0.0))
-        alpha = _corner(0.0, 0.0, 1.0, c, None, fire_s).tolist()
-        beta = _corner(u00, u01, 0.0, c, g, curv).tolist()
+            beta += _corner(0.0, 0.0, 0.0, c_blk[:, t], None, curv)
 
         u_rows = []
-        for alpha_b, beta_b in zip(alpha, beta):
+        for alpha_b, beta_b in zip(alpha_blk[:, t].tolist(), beta.tolist()):
             u = 1.0
             row = [u]
             for a, b in zip(alpha_b, beta_b):
@@ -416,13 +467,14 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
                 row.append(u)
             u_rows.append(row)
         u_new = np.array(u_rows)
+        new[:, 1:, 0] = u_new[:, :-1]
 
         if state is not None:
             state.u[i + 1] = u_new[0]
-            state.phi[i + 1] = z_new[0, :, :n]
-            state.psi[i + 1] = z_new[0, :, n:]
-        u_prev2 = u_prev
-        u_prev, z, z_new = u_new, z_new, z
+            state.phi[i + 1] = new[0, :, :n]
+            state.phi[i + 1, :, 0] = 0.0
+            state.psi[i + 1] = new[0, :, n:]
+        u_prev2, u_prev = u_prev, u_new
     return u_prev[:, ny]
 
 

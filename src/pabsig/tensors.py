@@ -9,11 +9,12 @@ a level-p block with a level-q block lands exactly on the level-(p+q) block
 in concatenation order.  Everything in this module relies on that layout.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated.  Coefficients are 64-bit floats throughout.  The raw-array
-primitives (_mul, _exp, _log, and the running product _running) broadcast
-over leading axes, so a stack of elements is one array of shape (..., N);
-every row goes through the same elementwise operations as the 1-D call, so
-batching never changes a bit.
+allocated, except that the private _operator, and _running when asked,
+write into an out array they are given.  Coefficients are 64-bit floats
+throughout.  The raw-array primitives (_mul, _exp, _log, and the running
+product _running) broadcast over leading axes, so a stack of elements is
+one array of shape (..., N); every row goes through the same elementwise
+operations as the 1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
 
 
 def _running(d: int, m: int, b: np.ndarray, f: Optional[np.ndarray] = None,
-             start: float = 1.0) -> np.ndarray:
+             start: float = 1.0, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j.
 
     b and f hold one row per step, shape (..., N, n).  Their scalar slots
@@ -234,11 +235,16 @@ def _running(d: int, m: int, b: np.ndarray, f: Optional[np.ndarray] = None,
     sum over the rows.  Within a level the terms are summed as _mul sums
     them: f_j first (or 0), then a_j[l] (x) b_j[k-l] for ascending l.  With
     start = 0 the l = 0 term, which is zero, is not added at all, so even
-    signed zeros keep their bits.
+    signed zeros keep their bits.  The rows are written into out, shape
+    (..., N+1, n) and possibly a strided view, when it is given; it is
+    returned either way.
     """
     offs = _offsets(d, m)
     lead, rows = b.shape[:-2], b.shape[-2]
-    out = np.zeros(lead + (rows + 1, offs[-1]))
+    if out is None:
+        out = np.zeros(lead + (rows + 1, offs[-1]))
+    else:
+        out[..., 0, :] = 0.0
     out[..., 0] = start
     for k in range(1, m + 1):
         acc = np.zeros(lead + (rows, d**k)) if f is None else f[..., offs[k]:offs[k + 1]]

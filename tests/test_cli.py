@@ -357,12 +357,13 @@ def test_unwritable_output_exits_usage(tmp_path, capsys, command):
             "logsig": ["logsig", str(x)],
             "gram": ["gram", str(d)],
             "convergence": ["convergence", "--config", str(small_config(tmp_path))]}
-    target = tmp_path / "missing" / "x"
-    assert main([*argv[command], "--output", str(target)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
-    assert not target.parent.exists()
+    # a file in a missing directory, and the empty path, which names no file
+    for target in (str(tmp_path / "missing" / "x"), ""):
+        assert main([*argv[command], "--output", target]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -541,6 +541,24 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
     assert peak <= 8 * budget
 
 
+def test_coupled_sweep_holds_no_grid_per_pair():
+    # the coupled sweep keeps rows, never a grid: on 256 x 256 cells one
+    # N_x x N_y float64 grid (0.5 MB) outweighs its whole working set, and
+    # on 64 rows of N = 40 coefficients so does the stack of the 2N x N
+    # matrices [M_x^T ; S_x] of all rows (1.6 MB)
+    rng = np.random.default_rng(94)
+    for d, m, nx, ny in ((1, 2, 256, 256), (3, 3, 64, 4)):
+        n = tensor_dim(d, m)
+        px, py = rand_pab(rng, d, m, nx, 0.1), rand_pab(rng, d, m, ny, 0.1)
+        tracemalloc.start()
+        try:
+            solve(px, py)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * max(nx * ny, nx * 2 * n * n), (d, m, peak)
+
+
 def test_solve_pairs_validation():
     rng = np.random.default_rng(92)
     a, b = rand_pab(rng, 2, 2, 3), rand_pab(rng, 2, 2, 2)

@@ -21,7 +21,7 @@ from pabsig import (  # noqa: E402
     solve,
     tensor_dim,
 )
-from pabsig.goursat import _corner  # noqa: E402
+from pabsig.goursat import _corner, _weights  # noqa: E402
 from pabsig.tensors import _mul  # noqa: E402
 
 from helpers import bracket, level_one, pad_pab, refine_pab  # noqa: E402
@@ -186,4 +186,14 @@ def test_corner_is_affine_in_u10(cells):
     curv_abs = np.abs(u10) + np.abs(ds_rest) + np.abs(dt)
     scale = a + 0.25 * (f1 + f2 + f3 + f4) + np.abs(c) / 12.0 * curv_abs
     err = np.abs(alpha * u10 + beta - want)
+    assert (err <= 8 * np.finfo(float).eps * scale).all()
+    # the split of the row sweep: weights once per block of rows from c
+    # alone, then per row the adjoint terms and the fired curvature terms
+    alpha, w01, w00, wg0 = _weights(c, fire_s)
+    split = alpha * u10 + w01 * u01 + w00 * u00
+    if g is not None:
+        split = split + wg0 * g[0] + 0.25 * (g[1] + g[2] + g[3])
+    if rest is not None:
+        split = split + _corner(0.0, 0.0, 0.0, c, None, rest)
+    err = np.abs(split - want)
     assert (err <= 8 * np.finfo(float).eps * scale).all()
