@@ -3,8 +3,8 @@
 Commands: kernel, logsig, gram, convergence, selftest.  Input series are
 CSV files with a mandatory header ``time,x1,...,xd``, comma separated,
 rows sorted by time.  Exit codes: 0 success, 2 usage, parse or output
-failure, 3 data shape failure, 4 numeric failure (non-finite result or failed
-numeric check).
+failure, 3 data shape failure, 4 numeric failure (non-finite result, failed
+numeric check, or a degree too large to allocate).
 """
 
 from __future__ import annotations
@@ -361,11 +361,11 @@ def main(argv=None) -> int:
         parser.error("--every must be >= 1")
     try:
         return args.func(args)
-    except (_ParseFailure, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_ParseFailure, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, _ParseFailure):
             return EXIT_USAGE
-        return EXIT_NUMERIC if isinstance(exc, NumericError) else EXIT_SHAPE
+        return EXIT_NUMERIC if isinstance(exc, (NumericError, MemoryError)) else EXIT_SHAPE
 
 
 if __name__ == "__main__":

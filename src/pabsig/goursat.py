@@ -44,24 +44,10 @@ Both sweeps carry a leading pair axis: solve_pairs() sweeps B pairs of one
 shape together, and solve() and solve_order1() are its B = 1 case, so a
 pair gives the same bits alone and in any batch.
 
-The sweep loops do only per-step work.  The scalar sweep reads each
-anti-diagonal of cell coefficients as one slice of a zero-copy skewed view,
-and skips the gate tests when no interval repeats.  The coupled sweep
-finds once per call which rows have a cell that fires, and builds gate
-masks and second differences only for those rows.  It holds a grid row as
-one array of state rows [phi | psi], with u in the scalar slot of phi,
-which the scheme keeps at 0.  Per row it fills one matrix V = [M_x^T ; S_x]
-of the x increment by tensors._operator, which carries every product with
-x: one matmul by V, with the identity added, updates phi and its u x term
-at once; psi, a running product, is written straight into the new row;
-and the four adjoint terms of every cell are two row-wise dot products.
-Along a row, u at the new corner is affine in its left neighbour
-u[i+1, j].  The weights that depend only on the cell coefficients come
-from _corner on basis inputs once per block of rows (_weights); per row
-the offset is one linear combination, plus _corner on the fired curvature
-terms, and u advances by one multiply-add per cell.  That rounds
-differently from one _corner call per cell, by a few ulps of the terms;
-step() and the scalar sweep keep the per-cell form.
+The coupled sweep advances u along a grid row by one multiply-add per
+cell, with weights that _corner gives once per block of rows (see
+_sweep).  That rounds differently from one _corner call per cell, by a few
+ulps of the terms; step() and the scalar sweep keep the per-cell form.
 
 Memory: a coupled sweep keeps two rows of state, as one
 (2, B, N_y+1, 2N) array where N is the number of tensor coefficients,
@@ -70,8 +56,6 @@ the (B, N_y, N) psi forcing, and for a block of K = N/2 rows the cell
 coefficients and four weights, five (B, K, N_y) arrays; the scalar sweep
 keeps the (B, N_x, N_y) cell coefficients, which its skewed view shares,
 and four anti-diagonals of u.  The full grids exist only when asked for.
-solve_pairs() splits a group of pairs so that one call holds at most
-about _BATCH_VALUES float64 values (4 MiB).
 """
 
 from __future__ import annotations
@@ -85,11 +69,12 @@ from .lift import PiecewiseAbelianPath, TimeSeries, build_pab
 from .tensors import (
     NumericError,
     ShapeMismatchError,
-    _exp,
+    _check_pair,
     _ladj,
     _mul,
     _offsets,
     _operator,
+    _partials,
     _radj,
     _running,
     tensor_dim,
@@ -147,14 +132,6 @@ class KernelSolution:
 
     value: float
     state: Optional[GoursatState] = None
-
-
-def _check_compatible(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> None:
-    if px.dim != py.dim or px.degree != py.degree:
-        raise ShapeMismatchError(
-            f"paths disagree: (d={px.dim}, m={px.degree}) vs "
-            f"(d={py.dim}, m={py.degree})"
-        )
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -217,14 +194,6 @@ def _weights(c, fire_s=None):
             _corner(1.0, 0.0, 0.0, c), _corner(0.0, 0.0, 0.0, c, (1.0, 0.0, 0.0, 0.0)))
 
 
-def _boundary_partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
-    """Rows i = 0..N of the running signature with scalar slot zeroed,
-    i.e. the group partial products minus 1 (leading axes hold other paths)."""
-    out = _running(d, m, _exp(d, m, incs))
-    out[..., 0] = 0.0
-    return out
-
-
 def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> GoursatState:
     """Allocate full grids with boundary data set and interior marked NaN.
 
@@ -232,7 +201,7 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
     running signature of the first path minus 1, psi along the i=0 edge
     the same for the second path; the opposite edges are 0.
     """
-    _check_compatible(px, py)
+    _check_pair(px, py)
     d, m = px.dim, px.degree
     nx, ny = px.n_intervals, py.n_intervals
     n = tensor_dim(d, m)
@@ -243,8 +212,8 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
     psi = np.full((nx + 1, ny + 1, n), np.nan)
     phi[0, :, :] = 0.0
     psi[:, 0, :] = 0.0
-    phi[:, 0, :] = _boundary_partials(d, m, px.increments)
-    psi[0, :, :] = _boundary_partials(d, m, py.increments)
+    phi[:, 0, :] = _partials(d, m, px.increments)
+    psi[0, :, :] = _partials(d, m, py.increments)
     return GoursatState(d, m, u, phi, psi, px.increments, py.increments)
 
 
@@ -294,23 +263,12 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
     """Sweep the whole grid and return the kernel value at the far corner.
 
     Without the grids this is solve_pairs() on the one pair, so a pair
-    gives the same bits here as inside any batch.  Each row of the coupled
-    sweep runs in two passes.  First phi (one matmul by the row's matrix
-    of x products), psi (a prefix sum per tensor level, written in place),
-    the adjoint terms (two row-wise dot products) and the offsets of the u
-    update are computed for all columns at once; then u marches along the
-    row by one multiply-add per cell.  The update is _corner, the update
-    of step(), which is affine in the left neighbour of the new corner;
-    the weights that depend only on the cell coefficients are taken from
-    _corner once per block of N/2 rows, N the number of tensor
-    coefficients, so a block holds about as many values as a grid row of
-    adjoint states.
-
-    At degree 1 the adjoint states never feed back into u, so unless the
-    grids are asked for, the value comes from the scalar sweep of
-    solve_order1 on the level-1 coefficients, which agrees with the coupled
-    sweep to rounding.  With keep_state the coupled sweep fills the grids
-    at every degree.  Raises NumericError when the kernel value overflows.
+    gives the same bits here as inside any batch.  At degree 1 the adjoint
+    states never feed back into u, so unless the grids are asked for, the
+    value comes from the scalar sweep of solve_order1 on the level-1
+    coefficients, which agrees with the coupled sweep to rounding.  With
+    keep_state the coupled sweep fills the grids at every degree.  Raises
+    NumericError when the kernel value overflows.
     """
     if not keep_state:
         return KernelSolution(float(solve_pairs([px], [py])[0]))
@@ -334,7 +292,7 @@ def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
         raise ValueError(f"{len(pxs)} first paths but {len(pys)} second paths")
     groups = {}
     for k, (px, py) in enumerate(zip(pxs, pys)):
-        _check_compatible(px, py)
+        _check_pair(px, py)
         key = (px.dim, px.degree, px.n_intervals, py.n_intervals)
         groups.setdefault(key, []).append(k)
     values = np.empty(len(pxs))
@@ -395,9 +353,9 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     offs = _offsets(d, m)
 
     rows = np.zeros((2, B, ny + 1, 2 * n))
-    rows[0, :, :, n:] = _boundary_partials(d, m, Y)
+    rows[0, :, :, n:] = _partials(d, m, Y)
     rows[0, :, 1:, 0] = 1.0
-    phi_bnd = _boundary_partials(d, m, X)
+    phi_bnd = _partials(d, m, X)
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
     # row i of pair b has a cell that fires iff x_i repeats against some pure
@@ -440,7 +398,7 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         for level, y_k in enumerate(y_from, 1):
             np.matmul(lo[..., :offs[m - level + 1]], y_k,
                       out=f[..., offs[level]:offs[level + 1]])
-        _running(d, m, Y, f[..., 0, :], start=0.0, out=new[..., n:])
+        _running(d, m, Y, f[..., 0, :], out=new[..., n:])
 
         # adjoint terms at the corners (i, j), (i+1, j) and (i, j+1), (i+1, j+1)
         g_lo = (rows[:, :, :-1, None, 1:] @ r[..., 1:, None])[..., 0, 0]
@@ -502,7 +460,7 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     # nx*ny - 1 (p = nx+ny-2, i = nx-1), stays inside the buffer.
     size = c.itemsize
     cs = np.lib.stride_tricks.as_strided(
-        c, (B, nx + ny - 1, nx), (c.strides[0], size, size * (ny - 1)),
+        c, (B, max(nx + ny - 1, 0), nx), (c.strides[0], size, size * (ny - 1)),
         writeable=False)
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
@@ -565,12 +523,9 @@ def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
            partition_y: Optional[Sequence[float]] = None) -> float:
     """Signature kernel of two sampled paths via their degree-m lifts.
 
-    Partitions default to the full sample grids.
+    Partitions default to the full sample grids.  Series of different
+    dimensions raise ShapeMismatchError.
     """
-    if ts_x.dim != ts_y.dim:
-        raise ShapeMismatchError(
-            f"series dimension mismatch: {ts_x.dim} vs {ts_y.dim}"
-        )
     px = build_pab(ts_x, ts_x.times if partition_x is None else partition_x, m)
     py = build_pab(ts_y, ts_y.times if partition_y is None else partition_y, m)
     return solve(px, py).value

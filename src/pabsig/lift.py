@@ -8,9 +8,8 @@ piecewise-abelian path fixes a partition and keeps one such log-signature
 per interval, as the rows of one (n_intervals, N(d, m)) array; between
 partition points the description evolves log-linearly.  Degree 1 recovers
 the piecewise linear path itself.  The partial signatures
-exp(L_0) (x) ... (x) exp(L_{i-1}) of such a path come from the running
-product tensors._running, which the Goursat solver also uses for its
-boundary data and its psi rows.
+exp(L_0) (x) ... (x) exp(L_{i-1}) of such a path come from
+tensors._partials, which also gives the Goursat solver its boundary data.
 
 All intervals of a path are lifted at once.  One batched kernel steps
 through segment positions and multiplies every interval that still has a
@@ -32,10 +31,9 @@ from .tensors import (
     NumericError,
     ShapeMismatchError,
     TruncTensor,
-    _exp,
     _log,
     _offsets,
-    _running,
+    _partials,
     tensor_dim,
 )
 
@@ -160,7 +158,8 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         level n += (...((delta/n + a_1) (x) delta/(n-1) + a_2) ... + a_{n-1}) (x) delta/1
 
     using the scalar slot a_0 = 1, which the product keeps exact; a lift by
-    _exp and the running product _running instead was 3.7x slower.
+    _exp and the running product of tensors._partials instead was 3.7x
+    slower.
     """
     offs = _offsets(d, m)
     counts = np.diff(bounds)
@@ -211,13 +210,18 @@ def segment_signature(delta: Sequence[float], m: int) -> TruncTensor:
     return TruncTensor(d, m, _lifted(d, m, delta[None], [0, 1], log=False)[0])
 
 
-def _window_indices(ts: TimeSeries, window: Optional[Tuple[float, float]]) -> Tuple[int, int]:
-    if window is None:
-        return 0, ts.times.size - 1
-    s, t = window
-    if not s < t:
-        raise ValueError(f"window must satisfy s < t, got {window}")
-    return ts.locate(s), ts.locate(t)
+def _window_lift(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int,
+                 log: bool) -> TruncTensor:
+    """Signature, or its logarithm, over a window (s, t) of sample times;
+    None is the whole series."""
+    i0, i1 = 0, ts.times.size - 1
+    if window is not None:
+        s, t = window
+        if not s < t:
+            raise ValueError(f"window must satisfy s < t, got {window}")
+        i0, i1 = ts.locate(s), ts.locate(t)
+    deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
+    return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log)[0])
 
 
 def chen_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> TruncTensor:
@@ -227,17 +231,13 @@ def chen_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int
     [s, u] and [u, t] equals the signature of [s, t] for any interior
     sample time u.
     """
-    i0, i1 = _window_indices(ts, window)
-    deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
-    return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log=False)[0])
+    return _window_lift(ts, window, m, log=False)
 
 
 def log_signature(ts: TimeSeries, window: Optional[Tuple[float, float]], m: int) -> TruncTensor:
     """Truncated log of the signature over a window of sample times; its
     scalar slot is exactly 0."""
-    i0, i1 = _window_indices(ts, window)
-    deltas = np.diff(ts.values[i0:i1 + 1], axis=0)
-    return TruncTensor(ts.dim, m, _lifted(ts.dim, m, deltas, [0, i1 - i0], log=True)[0])
+    return _window_lift(ts, window, m, log=True)
 
 
 def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAbelianPath:
@@ -260,7 +260,8 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
 
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
     """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1."""
-    rows = _running(p.dim, p.degree, _exp(p.dim, p.degree, p.increments))
+    rows = _partials(p.dim, p.degree, p.increments)
+    rows[:, 0] = 1.0
     return [TruncTensor(p.dim, p.degree, g) for g in rows]
 
 

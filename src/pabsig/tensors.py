@@ -11,10 +11,11 @@ in concatenation order.  Everything in this module relies on that layout.
 All operations are pure: inputs are never mutated and results are freshly
 allocated, except that the private _operator, and _running when asked,
 write into an out array they are given.  Coefficients are 64-bit floats
-throughout.  The raw-array primitives (_mul, _exp, _log, and the running
-product _running) broadcast over leading axes, so a stack of elements is
-one array of shape (..., N); every row goes through the same elementwise
-operations as the 1-D call, so batching never changes a bit.
+throughout.  The raw-array primitives (_mul, _exp, _log, the running
+product _running and the partial signatures _partials) broadcast over
+leading axes, so a stack of elements is one array of shape (..., N); every
+row goes through the same elementwise operations as the 1-D call, so
+batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ class TruncTensor:
 
 
 def _check_pair(a: TruncTensor, b: TruncTensor) -> None:
+    """Raise ShapeMismatchError unless a and b, tensors or lifted paths,
+    agree in alphabet size d and degree m."""
     if a.dim != b.dim or a.degree != b.degree:
         raise ShapeMismatchError(
             f"operands disagree: (d={a.dim}, m={a.degree}) vs "
@@ -224,35 +227,43 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
     return TruncTensor(a.dim, a.degree, _log(a.dim, a.degree, a.coeffs))
 
 
-def _running(d: int, m: int, b: np.ndarray, f: Optional[np.ndarray] = None,
-             start: float = 1.0, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j.
+def _running(d: int, m: int, b: np.ndarray, f: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j
+    from a_0 = 0.
 
     b and f hold one row per step, shape (..., N, n).  Their scalar slots
-    are never read, so b may be a group element such as exp(L_j) as well;
-    a_0 = start * 1, and every row keeps that scalar slot.  Level k of
-    a_{j+1} reads only levels below k of a_j, so each level is one prefix
-    sum over the rows.  Within a level the terms are summed as _mul sums
-    them: f_j first (or 0), then a_j[l] (x) b_j[k-l] for ascending l.  With
-    start = 0 the l = 0 term, which is zero, is not added at all, so even
-    signed zeros keep their bits.  The rows are written into out, shape
-    (..., N+1, n) and possibly a strided view, when it is given; it is
-    returned either way.
+    are never read, so b may be a group element such as exp(L_j) as well,
+    and every row has scalar slot 0.  Level k of a_{j+1} reads only levels
+    below k of a_j, so each level is one prefix sum over the rows.  Within
+    a level the terms are summed as _mul sums them: f_j first, then
+    a_j[l] (x) b_j[k-l] for ascending l >= 1; the l = 0 term, which is
+    zero, is not added at all, so even signed zeros keep their bits.  The
+    rows are written into out, shape (..., N+1, n) and possibly a strided
+    view, when it is given; it is returned either way.
     """
     offs = _offsets(d, m)
     lead, rows = b.shape[:-2], b.shape[-2]
     if out is None:
         out = np.zeros(lead + (rows + 1, offs[-1]))
     else:
-        out[..., 0, :] = 0.0
-    out[..., 0] = start
+        out[...] = 0.0
     for k in range(1, m + 1):
-        acc = np.zeros(lead + (rows, d**k)) if f is None else f[..., offs[k]:offs[k + 1]]
-        for l in range(0 if start else 1, k):
+        acc = f[..., offs[k]:offs[k + 1]]
+        for l in range(1, k):
             low = out[..., :-1, offs[l]:offs[l + 1], None]
             acc = acc + (low * b[..., None, offs[k - l]:offs[k - l + 1]]).reshape(acc.shape)
         np.cumsum(acc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
     return out
+
+
+def _partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
+    """Rows i = 0..N of the partial signatures G_i = exp(L_0) (x) ... (x)
+    exp(L_{i-1}) of scalar-free rows L_j, minus 1, with leading axes as in
+    _running: G_{j+1} - 1 = (G_i - 1) (x) exp(L_j) + (exp(L_j) - 1) is
+    _running with b = f = exp(L_j), whose scalar slots it never reads."""
+    e = _exp(d, m, incs)
+    return _running(d, m, e, e)
 
 
 @lru_cache(maxsize=None)

@@ -438,6 +438,22 @@ def test_sweep_overflow_exits_numeric(tmp_path, scale, degree):
         assert line.startswith("error: ") and "not finite" in line
 
 
+def test_failed_allocation_exits_numeric(tmp_path, monkeypatch, capsys):
+    # a --degree too large to allocate ends in numpy's MemoryError; it is
+    # raised here without allocating, since under memory overcommit a huge
+    # allocation can succeed and then exhaust the machine's memory
+    x = tmp_path / "s.csv"
+    flat_series(x, n=2)
+    for exc, line in ((MemoryError("Unable to allocate 32.0 TiB"),
+                       "error: Unable to allocate 32.0 TiB\n"),
+                      (MemoryError(), "error: out of memory\n")):
+        def too_big(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "kernel", too_big)
+        assert main(["kernel", str(x), str(x), "--degree", "40"]) == 4
+        assert capsys.readouterr() == ("", line)
+
+
 def test_csv_parse_matches_float_bitwise(monkeypatch):
     rng = np.random.default_rng(75)
     values = rng.standard_normal(300) * 10.0 ** rng.integers(-320, 300, 300)

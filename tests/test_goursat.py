@@ -11,6 +11,7 @@ from pabsig import (
     build_pab,
     init_boundaries,
     kernel,
+    pab_partial_signatures,
     solve,
     solve_order1,
     solve_pairs,
@@ -20,8 +21,7 @@ from pabsig import (
 )
 
 from pabsig import goursat
-from pabsig.goursat import _boundary_partials
-from pabsig.tensors import _exp, _mul
+from pabsig.tensors import _exp, _mul, _partials
 
 from helpers import (
     line_series,
@@ -279,6 +279,9 @@ def test_solve_order1_examples():
     sol = solve_order1([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]], keep_state=True)
     assert sol.state.u.shape == (3, 2)
     assert sol.state.phi is None
+    sol = solve_order1(np.zeros((0, 2)), np.zeros((0, 2)), keep_state=True)
+    assert sol.value == 1.0
+    assert sol.state.u.tolist() == [[1.0]]
 
 
 def repeats(X):
@@ -409,7 +412,10 @@ def test_boundary_partials_match_per_interval_loop_bitwise():
             g = _mul(d, m, g, _exp(d, m, x))
             want[i + 1] = g
             want[i + 1, 0] = 0.0
-        assert _boundary_partials(d, m, X).tobytes() == want.tobytes()
+        assert _partials(d, m, X).tobytes() == want.tobytes()
+        want[:, 0] = 1.0
+        got = pab_partial_signatures(PiecewiseAbelianPath(d, m, np.arange(7.0), X))
+        assert np.array([g.coeffs for g in got]).tobytes() == want.tobytes()
 
 
 def test_degree1_solve_takes_the_scalar_sweep():

@@ -354,15 +354,13 @@ def test_running_matches_product_loop():
         f[:, 0] = 0.0
         free = b.copy()
         free[:, 0] = 0.0                      # the scalar slot of b is never read
-        for start, ff in ((0.0, f), (1.0, f), (1.0, None)):
-            got = _running(d, m, b, ff, start=start)
-            a = np.zeros(n)
-            a[0] = start
-            assert got[0].tobytes() == a.tobytes()
-            for j in range(5):
-                a = a + _mul(d, m, a, free[j]) + (0.0 if ff is None else ff[j])
-                scale = max(1.0, float(np.abs(a).max()))
-                assert np.abs(got[j + 1] - a).max() <= 1e-13 * scale
+        got = _running(d, m, b, f)
+        a = np.zeros(n)
+        assert got[0].tobytes() == a.tobytes()
+        for j in range(5):
+            a = a + _mul(d, m, a, free[j]) + f[j]
+            scale = max(1.0, float(np.abs(a).max()))
+            assert np.abs(got[j + 1] - a).max() <= 1e-13 * scale
 
 
 def test_running_leading_axes_match_single_calls_bitwise():
@@ -372,11 +370,9 @@ def test_running_leading_axes_match_single_calls_bitwise():
         b = rng.standard_normal((2, 3, 4, n))
         f = rng.standard_normal((2, 3, 4, n))
         f[..., 0] = 0.0
-        for start, ff in ((0.0, f), (1.0, None)):
-            got = _running(d, m, b, ff, start=start)
-            for r in np.ndindex(2, 3):
-                alone = _running(d, m, b[r], None if ff is None else ff[r], start=start)
-                assert got[r].tobytes() == alone.tobytes()
+        got = _running(d, m, b, f)
+        for r in np.ndindex(2, 3):
+            assert got[r].tobytes() == _running(d, m, b[r], f[r]).tobytes()
 
 
 def test_running_into_strided_out_matches_bitwise():
@@ -387,12 +383,11 @@ def test_running_into_strided_out_matches_bitwise():
         n = tensor_dim(d, m)
         b = rng.standard_normal((2, 4, n))
         f = rng.standard_normal((2, 4, n))
-        for start, ff in ((0.0, f), (1.0, None)):
-            rows = rng.standard_normal((2, 5, 2 * n))
-            out = rows[..., n:]
-            got = _running(d, m, b, ff, start=start, out=out)
-            assert got is out
-            assert out.tobytes() == _running(d, m, b, ff, start=start).tobytes()
+        rows = rng.standard_normal((2, 5, 2 * n))
+        out = rows[..., n:]
+        got = _running(d, m, b, f, out=out)
+        assert got is out
+        assert out.tobytes() == _running(d, m, b, f).tobytes()
 
 
 def adjoint_by_words(a, c, left):
