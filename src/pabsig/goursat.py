@@ -49,13 +49,24 @@ cell, with weights that _corner gives once per block of rows (see
 _sweep).  That rounds differently from one _corner call per cell, by a few
 ulps of the terms; step() and the scalar sweep keep the per-cell form.
 
+Level m of phi and psi is dead state: it never reaches u or a lower
+level.  The increments have scalar slot 0, so R*_x(y) and R*_y(x) have no
+level-m part and level m of phi and psi drops out of the terms of u;
+phi_m (x) x lands above level m, where it is truncated; and L*_{phi_m}(y)
+and L*_{psi_m}(x) land only in the scalar slot, which the update forces
+to 0.  So unless the grids are asked for, the coupled sweep carries the
+k = N(d, m-1) coefficients of levels 0..m-1 of each adjoint state in
+place of all N = N(d, m).  Outside the scalar slot, which it overwrites,
+every term the shorter row products drop is a product with an exact 0;
+the shorter sums still round differently, by an ulp or so.
+
 Memory: a coupled sweep keeps two rows of state, as one
-(2, B, N_y+1, 2N) array where N is the number of tensor coefficients,
-plus the (B, 2N, N) matrix V, the (B, N_y, 2N) right adjoints of the row,
-the (B, N_y, N) psi forcing, and for a block of K = N/2 rows the cell
-coefficients and four weights, five (B, K, N_y) arrays; the scalar sweep
-keeps the (B, N_x, N_y) cell coefficients, which its skewed view shares,
-and four anti-diagonals of u.  The full grids exist only when asked for.
+(2, B, N_y+1, 2k) array, plus the (B, 2k, N) matrix V, the (B, N_y, 2k)
+right adjoints of the row, the (B, N_y, k) psi forcing, and for a block
+of K = N/2 rows the cell coefficients and four weights, five (B, K, N_y)
+arrays; k is N(d, m-1), or N with the grids.  The scalar sweep keeps the
+(B, N_x, N_y) cell coefficients, which its skewed view shares, and four
+anti-diagonals of u.  The full grids exist only when asked for.
 """
 
 from __future__ import annotations
@@ -85,10 +96,8 @@ from .tensors import (
 _ROUNDING = 1e-12
 
 # Working set, in float64 values, that one pair-batched sweep call may hold;
-# solve_pairs() runs larger groups of pairs in consecutive chunks.  Per pair
-# the scalar sweep holds the N_x x N_y cell coefficients, and the coupled
-# sweep about 16 arrays of (N_y+1) x N values (measured peaks: 15-21) plus
-# the 2N x N matrix of the current x increment.
+# solve_pairs() runs larger groups of pairs in consecutive chunks, counting
+# each pair by _pair_values.
 _BATCH_VALUES = 1 << 19
 
 __all__ = [
@@ -194,6 +203,24 @@ def _weights(c, fire_s=None):
             _corner(1.0, 0.0, 0.0, c), _corner(0.0, 0.0, 0.0, c, (1.0, 0.0, 0.0, 0.0)))
 
 
+def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
+    """Values one pair of the shape adds to a sweep call's working set.
+
+    The scalar sweep holds the N_x x N_y cell coefficients.  The coupled
+    sweep, with N coefficients per tensor and k = N(d, m-1) per state row,
+    holds per grid column, of which it counts max(N_x, N_y) + 1: 8k values
+    of state rows, row adjoints and psi forcing; 10N of increments,
+    boundary partials and the block's coefficients and weights with their
+    temporaries; and 32 of the u march, whose Python float lists take 4
+    values per float.  Add the 2k x N matrix V.  Measured single-pair peaks
+    are 0.8-0.9 of this at d = 1-3, m = 2-4 on 64-256 cells a side.
+    """
+    if m == 1:
+        return nx * ny
+    n, k = tensor_dim(d, m), tensor_dim(d, m - 1)
+    return (8 * k + 10 * n + 32) * (max(nx, ny) + 1) + 2 * k * n
+
+
 def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> GoursatState:
     """Allocate full grids with boundary data set and interior marked NaN.
 
@@ -297,9 +324,7 @@ def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
         groups.setdefault(key, []).append(k)
     values = np.empty(len(pxs))
     for (d, m, nx, ny), ks in groups.items():
-        n = tensor_dim(d, m)
-        per_pair = nx * ny if m == 1 else 16 * (max(nx, ny) + 1) * n + 2 * n * n
-        size = max(1, _BATCH_VALUES // per_pair)
+        size = max(1, _BATCH_VALUES // _pair_values(d, m, nx, ny))
         for s in range(0, len(ks), size):
             chunk = ks[s:s + size]
             X = np.stack([pxs[k].increments for k in chunk])
@@ -317,22 +342,30 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     """Far-corner u of the coupled sweep over B pairs of one shape.
 
     X and Y hold the increments of the pairs, shape (B, N_x, N) and
-    (B, N_y, N).  Grid rows i and i+1 live in one (2, B, N_y+1, 2N) buffer
+    (B, N_y, N).  The state rows hold the first k coefficients of phi and
+    psi: those of levels 0..m-1, k = N(d, m-1), since level m is dead
+    state (see the module docstring), or all k = N when the grids are
+    written.  Grid rows i and i+1 live in one (2, B, N_y+1, 2k) buffer
     whose entry j is the state row [phi | psi] at corner j.  The scalar
     slot of phi, which the update forces to 0, carries u instead: u at
     corner j-1 of the same grid row, so u is shifted by one column.  Per
-    row, tensors._operator fills V = [M_x^T ; S_x] of x = x_i, and then
+    row, tensors._operator fills the first k rows of both blocks of
+    V = [M_x^T ; S_x] of x = x_i, shape (B, 2k, N), and then
     Y @ V^T = [R*_x(y_j) | R*_{y_j}(x)], whose first slot is <x, y_j>.
-    With the identity added to the M_x^T block, one matmul of row i by V
-    gives phi + phi (x) x + L*_psi(x) + u x at every column: the first row
-    of M_x^T is x, so the u in the scalar slot brings the u x term.  Then
-    the scalar slots of the new row take u[i, j], unshifted, so that the
-    psi forcing u[i, j] y_j + L*_phi(y_j) is one matmul per tensor level
-    of the new phi rows by the levels of y_j.  psi is the running product
-    tensors._running of y_j from 0 under that forcing, written straight
-    into the new row.  The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)>
-    at the four corners of the cells are two row-wise dot products over
-    both grid rows, which skip the scalar slots.
+    With the identity added to the first k diagonal entries of the M_x^T
+    block, one matmul of row i by the first k columns of V gives
+    phi + phi (x) x + L*_psi(x) + u x at every column: the first row of
+    M_x^T is x, so the u in the scalar slot brings the u x term.  Then the
+    scalar slots of the new row take u[i, j], unshifted, so that the psi
+    forcing u[i, j] y_j + L*_phi(y_j) of levels 1..m-1 (or 1..m) is one
+    matmul per tensor level of the new phi rows by the levels of y_j.  psi
+    is the running product tensors._running, at the degree of the state,
+    of y_j from 0 under that forcing, written straight into the new row.
+    The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> at the four corners
+    of the cells are two row-wise dot products over both grid rows, which
+    skip the scalar slots.  The boundary partial signatures are computed
+    at degree m and cut to k coefficients, so they keep the bits of the
+    full sweep.
 
     The new u[i+1, j+1] is alpha_j u[i+1, j] + beta_j.  _corner is linear
     in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
@@ -345,31 +378,35 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     where the correction fires, and u advances by one multiply-add per
     cell on Python floats, which is the same IEEE arithmetic as numpy
     scalars.  Which rows have a cell that fires in some pair is worked out
-    once per call.  With a state (B = 1) the rows are written into its
-    grids.
+    once per call.  With a state (B = 1) the rows, of all N coefficients,
+    are written into its grids.
     """
     B, nx, n = X.shape
     ny = Y.shape[1]
     offs = _offsets(d, m)
+    mk = m if state is not None else m - 1     # degree of the state rows
+    k = offs[mk + 1]
 
-    rows = np.zeros((2, B, ny + 1, 2 * n))
-    rows[0, :, :, n:] = _partials(d, m, Y)
+    rows = np.zeros((2, B, ny + 1, 2 * k))
+    rows[0, :, :, k:] = _partials(d, m, Y)[..., :k]
     rows[0, :, 1:, 0] = 1.0
-    phi_bnd = _partials(d, m, X)
+    phi_bnd = _partials(d, m, X)[..., :k]
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
     # row i of pair b has a cell that fires iff x_i repeats against some pure
     # y_j, or is pure against some repeating y_j
     row_fires = ((rep_x & pure_y.any(axis=1)[:, None])
                  | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
-    # levels k..m of every y_j, rows indexed by prefix words of levels 0..m-k
-    y_from = [Y[..., offs[k]:].reshape(B, ny, -1, d**k) for k in range(1, m + 1)]
+    # levels l..m of every y_j, rows indexed by prefix words of levels 0..m-l
+    y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, mk + 1)]
+    Yk = Y[..., :k]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
-    v = np.zeros((B, 2 * n, n))
-    diag = v.reshape(B, -1)[:, :n * n:n + 1]    # the diagonal of the M_x^T block
-    r = np.empty((B, ny, 2 * n))
-    f = np.empty((B, ny, 1, n))
+    v = np.zeros((B, 2 * k, n))
+    vk = v[..., :k]                             # the columns that reach the state
+    diag = v.reshape(B, -1)[:, :k * n:n + 1]    # the diagonal of the M_x^T block
+    r = np.empty((B, ny, 2 * k))
+    f = np.empty((B, ny, 1, k))
     block = max(1, n // 2)
     Yt = Y.transpose(0, 2, 1)
 
@@ -388,17 +425,17 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         np.matmul(Y, v.transpose(0, 2, 1), out=r)
         diag[...] = 1.0
 
-        new[:, 0, :n] = phi_bnd[:, i + 1]
-        np.matmul(old[:, 1:], v, out=new[:, 1:, :n])
+        new[:, 0, :k] = phi_bnd[:, i + 1]
+        np.matmul(old[:, 1:], vk, out=new[:, 1:, :k])
         new[..., 0] = u_prev
 
         # psi[j+1] = psi[j] (x) (1 + y_j) + u[i, j] y_j + L*_phi[j](y_j), a
         # running product from psi[0] = 0; u[i, j] is the scalar slot of phi[j]
         lo = new[:, :-1, None]
-        for level, y_k in enumerate(y_from, 1):
-            np.matmul(lo[..., :offs[m - level + 1]], y_k,
+        for level, y_l in enumerate(y_from, 1):
+            np.matmul(lo[..., :offs[m - level + 1]], y_l,
                       out=f[..., offs[level]:offs[level + 1]])
-        _running(d, m, Y, f[..., 0, :], out=new[..., n:])
+        _running(d, mk, Yk, f[..., 0, :], out=new[..., k:])
 
         # adjoint terms at the corners (i, j), (i+1, j) and (i, j+1), (i+1, j+1)
         g_lo = (rows[:, :, :-1, None, 1:] @ r[..., 1:, None])[..., 0, 0]
@@ -429,9 +466,9 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
 
         if state is not None:
             state.u[i + 1] = u_new[0]
-            state.phi[i + 1] = new[0, :, :n]
+            state.phi[i + 1] = new[0, :, :k]
             state.phi[i + 1, :, 0] = 0.0
-            state.psi[i + 1] = new[0, :, n:]
+            state.psi[i + 1] = new[0, :, k:]
         u_prev2, u_prev = u_prev, u_new
     return u_prev[:, ny]
 
@@ -524,8 +561,9 @@ def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
     """Signature kernel of two sampled paths via their degree-m lifts.
 
     Partitions default to the full sample grids.  Series of different
-    dimensions raise ShapeMismatchError.
+    dimensions raise ShapeMismatchError before either is lifted.
     """
+    _check_pair(ts_x, ts_y, m)
     px = build_pab(ts_x, ts_x.times if partition_x is None else partition_x, m)
     py = build_pab(ts_y, ts_y.times if partition_y is None else partition_y, m)
     return solve(px, py).value

@@ -12,16 +12,18 @@ from __future__ import annotations
 import math
 
 from .lift import TimeSeries, chen_signature
-from .tensors import inner
+from .tensors import _check_pair, inner
 
 __all__ = ["direct_truncated_kernel", "linear_kernel_closed_form", "tail_bound"]
 
 
 def direct_truncated_kernel(ts_x: TimeSeries, ts_y: TimeSeries, n: int) -> float:
     """Inner product of the two level-n signatures over the full windows;
-    series of different dimensions raise ShapeMismatchError."""
+    series of different dimensions raise ShapeMismatchError before either
+    signature is computed."""
     if n < 1:
         raise ValueError(f"truncation level must be >= 1, got {n}")
+    _check_pair(ts_x, ts_y, n)
     return inner(chen_signature(ts_x, None, n), chen_signature(ts_y, None, n))
 
 

@@ -116,13 +116,16 @@ class TruncTensor:
         )
 
 
-def _check_pair(a: TruncTensor, b: TruncTensor) -> None:
+def _check_pair(a: TruncTensor, b: TruncTensor, degree: Optional[int] = None) -> None:
     """Raise ShapeMismatchError unless a and b, tensors or lifted paths,
-    agree in alphabet size d and degree m."""
-    if a.dim != b.dim or a.degree != b.degree:
+    agree in alphabet size d and degree m.  Given a degree, only the dim of
+    a and b is read, and both count at that degree: time series are
+    checked so before their degree-m lifts."""
+    ma = a.degree if degree is None else degree
+    mb = b.degree if degree is None else degree
+    if a.dim != b.dim or ma != mb:
         raise ShapeMismatchError(
-            f"operands disagree: (d={a.dim}, m={a.degree}) vs "
-            f"(d={b.dim}, m={b.degree})"
+            f"operands disagree: (d={a.dim}, m={ma}) vs (d={b.dim}, m={mb})"
         )
 
 
@@ -299,15 +302,21 @@ def _concat_tables(d: int, m: int):
 
 
 def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
-    """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2N, N).
+    """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2k, N).
 
-    For z = [phi | psi], z @ V == phi (x) x + L*_psi(x) and V @ y ==
-    [R*_x(y) | R*_y(x)].  Only split positions are written; out must be 0 elsewhere.
+    Only the rows of the k <= N first prefixes are written: rows u < k of
+    M_x^T and of S_x.  For z = [phi | psi] of the first k coefficients each,
+    z @ V == phi (x) x + L*_psi(x) and V @ y == [R*_x(y) | R*_y(x)], both
+    restricted to those rows.  The split tables run in prefix order, so
+    the restriction is a leading slice of them.  Only split positions are
+    written; out must be 0 elsewhere.
     """
     words, prefixes, suffixes = _concat_tables(d, m)
-    n = x.shape[-1]
+    k = out.shape[-2] // 2
+    stop = np.searchsorted(prefixes, k)
+    words, prefixes, suffixes = words[:stop], prefixes[:stop], suffixes[:stop]
     out[..., prefixes, words] = x[..., suffixes]
-    out[..., n + prefixes, suffixes] = x[..., words]
+    out[..., k + prefixes, suffixes] = x[..., words]
 
 
 def _ladj(d: int, m: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from pabsig import (
     ShapeMismatchError,
     TimeSeries,
     build_pab,
+    direct_truncated_kernel,
     init_boundaries,
     kernel,
     pab_partial_signatures,
@@ -20,7 +21,7 @@ from pabsig import (
     unit,
 )
 
-from pabsig import goursat
+from pabsig import goursat, oracle
 from pabsig.tensors import _exp, _mul, _partials
 
 from helpers import (
@@ -156,6 +157,45 @@ def test_solve_matches_step_loop():
         np.testing.assert_allclose(got.state.u, ref.u, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.state.phi, ref.phi, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.state.psi, ref.psi, rtol=1e-12, atol=1e-12)
+
+
+def test_top_level_of_adjoint_states_is_dead():
+    # level m of phi and psi never reaches u or a lower level: with noise
+    # written over it at every corner before each step, u and levels
+    # 0..m-1 keep their bits
+    rng = np.random.default_rng(95)
+    for d in (1, 2, 3):
+        for m in (2, 3, 4):
+            px, py = rand_pab(rng, d, m, 3), rand_pab(rng, d, m, 4)
+            ref = manual_sweep(px, py)
+            state = init_boundaries(px, py)
+            k = tensor_dim(d, m - 1)
+            for i in range(px.n_intervals):
+                for j in range(py.n_intervals):
+                    for grid in (state.phi, state.psi):
+                        grid[..., k:] = rng.standard_normal(grid[..., k:].shape)
+                    step(state, i, j)
+            assert state.u.tobytes() == ref.u.tobytes(), (d, m)
+            assert state.phi[..., :k].tobytes() == ref.phi[..., :k].tobytes(), (d, m)
+            assert state.psi[..., :k].tobytes() == ref.psi[..., :k].tobytes(), (d, m)
+
+
+def test_reduced_sweep_matches_full_degree_sweep():
+    # without the grids the coupled sweep carries levels 0..m-1 of the
+    # adjoint states, with them all of levels 0..m
+    rng = np.random.default_rng(96)
+    for d in (1, 2, 3):
+        for m in (2, 3, 4, 5):
+            nx, ny = (3, 2) if (d, m) == (3, 5) else (6, 5)
+            a, b = rand_series(rng, d, nx), rand_series(rng, d, ny)
+            refined = (pad_pab(refine_pab(rand_pab(rng, d, 1, 2), 3), m),
+                       pad_pab(refine_pab(rand_pab(rng, d, 1, 3), 2), m))
+            assert any(repeats(refined[0].increments))   # the correction fires
+            for px, py in ((rand_pab(rng, d, m, nx), rand_pab(rng, d, m, ny)), refined,
+                           (build_pab(a, a.times, m), build_pab(b, b.times, m))):
+                want = solve(px, py, keep_state=True).value
+                got = solve(px, py).value
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (d, m, got, want)
 
 
 def test_solve_single_row_and_column():
@@ -396,6 +436,20 @@ def test_kernel_wrapper_dim_mismatch():
         kernel(tsx, tsy)
 
 
+def test_dim_mismatch_raises_before_lifting(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("lifted before the dimension check")
+
+    tsx = TimeSeries([0.0, 1.0], np.zeros((2, 3)))
+    tsy = TimeSeries([0.0, 1.0], np.zeros((2, 2)))
+    monkeypatch.setattr(goursat, "build_pab", no_lift)
+    monkeypatch.setattr(oracle, "chen_signature", no_lift)
+    for call, m in ((kernel, 4), (direct_truncated_kernel, 10)):
+        with pytest.raises(ShapeMismatchError,
+                           match=rf"operands disagree: \(d=3, m={m}\) vs \(d=2, m={m}\)"):
+            call(tsx, tsy, m)
+
+
 def test_solution_without_state():
     px = single_segment_pab([1.0, 0.0], 2)
     sol = solve(px, px)
@@ -517,18 +571,20 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
     monkeypatch.setattr(goursat, "_sweep_order1", lambda X, Y, grid=None:
                         batches.append((1, len(X))) or sweep_order1(X, Y, grid))
     # per pair the budget counts 5 x 4 values at degree 1 and
-    # 16 x 6 x 7 + 2 x 7 x 7 at degree 2 (N(2, 2) = 7 coefficients)
+    # (8 x 3 + 10 x 7 + 32) x 6 + 2 x 3 x 7 = 798 at degree 2
+    # (N(2, 2) = 7 coefficients, 3 in each state row)
     for budget, want in ((40, [(1, 1), (1, 2), (1, 2), (1, 2)] + [(2, 1)] * 7),
                          (3 * (16 * 6 * 7 + 2 * 7 * 7),
-                          [(1, 7), (2, 1), (2, 3), (2, 3)])):
+                          [(1, 7), (2, 1), (2, 2), (2, 2), (2, 2)])):
         monkeypatch.setattr(goursat, "_BATCH_VALUES", budget)
         batches.clear()
         assert same_bits(solve_pairs(pxs, pys), alone)
         assert sorted(batches) == want
 
-    # d = 3, m = 4 (N = 121) on 2 x 2 cells: the 2N x N matrix of the
-    # current x increment outweighs the rows of adjoint states, and a
-    # chunk of 4 pairs still holds no more than the budget
+    # d = 3, m = 4 (N = 121, 40 in each state row) on 2 x 2 cells: the
+    # 2 x 40 x N matrix of the current x increment outweighs the rows of
+    # adjoint states, and a chunk of 9 pairs still holds no more than the
+    # budget
     pairs = [(rand_pab(rng, 3, 4, 2), rand_pab(rng, 3, 4, 2)) for _ in range(10)]
     pxs, pys = [a for a, _ in pairs], [b for _, b in pairs]
     alone = [solve(a, b).value for a, b in pairs]
@@ -543,8 +599,23 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert same_bits(got, alone)
-    assert sorted(batches) == [(4, 2), (4, 4), (4, 4)]
+    assert sorted(batches) == [(4, 1), (4, 9)]
     assert peak <= 8 * budget
+
+
+def test_pair_values_bound_single_pair_peaks():
+    # the chunk budget of a pair counts what the coupled sweep holds, the
+    # Python float lists of the u march included
+    rng = np.random.default_rng(97)
+    for d, m, cells in ((1, 2, 256), (1, 3, 256), (2, 2, 128), (3, 3, 64), (2, 4, 128)):
+        px, py = rand_pab(rng, d, m, cells, 0.1), rand_pab(rng, d, m, cells, 0.1)
+        tracemalloc.start()
+        try:
+            solve_pairs([px], [py])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * goursat._pair_values(d, m, cells, cells), (d, m, peak)
 
 
 def test_coupled_sweep_holds_no_grid_per_pair():

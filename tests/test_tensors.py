@@ -432,6 +432,22 @@ def test_concat_tables_fill_products_and_adjoints():
             assert np.all(np.diff(pre * n + suf) > 0)   # (prefix, suffix) order
 
 
+def test_operator_rows_below_k_match_the_full_operator_bitwise():
+    # written into a (2k, N) out with k = N(d, m-1), as the coupled sweep
+    # does, _operator gives rows [:k] and [N:N+k] of the full V
+    rng = np.random.default_rng(67)
+    for d in (1, 2, 3):
+        for m in range(1, 6):
+            n, k = tensor_dim(d, m), tensor_dim(d, m - 1)
+            x = rng.standard_normal((3, n))
+            full = np.zeros((3, 2 * n, n))
+            part = np.zeros((3, 2 * k, n))
+            _operator(d, m, x, full)
+            _operator(d, m, x, part)
+            want = np.concatenate([full[:, :k], full[:, n:n + k]], axis=1)
+            assert part.tobytes() == want.tobytes(), (d, m)
+
+
 def test_adjoints_of_mixed_degrees_match_words():
     rng = np.random.default_rng(66)
     for d in (1, 2, 3):
