@@ -372,8 +372,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     c/12 where D_s fires), of u[i, j], of u[i, j+1] and of the first
     adjoint term depend only on the cell coefficient c = <x_i, y_j>.  They
     come from _corner on basis inputs (_weights), once per block of
-    K = N/2 rows, so that the block's coefficients and weights take about
-    as many values as one grid row of state.  beta_j is then one linear
+    K = N/2 rows; the block's coefficients and weights take about as many
+    values as one grid row of all N coefficients of phi and psi.  beta_j is then one linear
     combination per row, plus _corner on the fired curvature terms in rows
     where the correction fires, and u advances by one multiply-add per
     cell on Python floats, which is the same IEEE arithmetic as numpy

@@ -304,11 +304,11 @@ def _concat_tables(d: int, m: int):
 def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
     """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2k, N).
 
-    Only the rows of the k <= N first prefixes are written: rows u < k of
-    M_x^T and of S_x.  For z = [phi | psi] of the first k coefficients each,
-    z @ V == phi (x) x + L*_psi(x) and V @ y == [R*_x(y) | R*_y(x)], both
-    restricted to those rows.  The split tables run in prefix order, so
-    the restriction is a leading slice of them.  Only split positions are
+    Only the rows of the first k <= N prefixes are written, rows u < k of
+    M_x^T and of S_x; the split tables run in prefix order, so that is a
+    leading slice of them.  For z = [phi | psi] with k coefficients each,
+    z @ V == phi (x) x + L*_psi(x), and V @ y holds the first k
+    coefficients of R*_x(y) and of R*_y(x).  Only split positions are
     written; out must be 0 elsewhere.
     """
     words, prefixes, suffixes = _concat_tables(d, m)

@@ -9,7 +9,6 @@ from pabsig import (
     ShapeMismatchError,
     TimeSeries,
     build_pab,
-    direct_truncated_kernel,
     init_boundaries,
     kernel,
     pab_partial_signatures,
@@ -21,7 +20,7 @@ from pabsig import (
     unit,
 )
 
-from pabsig import goursat, oracle
+from pabsig import goursat
 from pabsig.tensors import _exp, _mul, _partials
 
 from helpers import (
@@ -429,25 +428,19 @@ def test_kernel_wrapper():
     assert coarse != got
 
 
-def test_kernel_wrapper_dim_mismatch():
+def test_kernel_wrapper_dim_mismatch(monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("lifted before the dimension check")
+
     tsx = TimeSeries([0.0, 1.0], np.zeros((2, 2)))
     tsy = TimeSeries([0.0, 1.0], np.zeros((2, 3)))
     with pytest.raises(ShapeMismatchError):
         kernel(tsx, tsy)
-
-
-def test_dim_mismatch_raises_before_lifting(monkeypatch):
-    def no_lift(*args):
-        raise AssertionError("lifted before the dimension check")
-
-    tsx = TimeSeries([0.0, 1.0], np.zeros((2, 3)))
-    tsy = TimeSeries([0.0, 1.0], np.zeros((2, 2)))
+    # the series are checked before either is lifted
     monkeypatch.setattr(goursat, "build_pab", no_lift)
-    monkeypatch.setattr(oracle, "chen_signature", no_lift)
-    for call, m in ((kernel, 4), (direct_truncated_kernel, 10)):
-        with pytest.raises(ShapeMismatchError,
-                           match=rf"operands disagree: \(d=3, m={m}\) vs \(d=2, m={m}\)"):
-            call(tsx, tsy, m)
+    with pytest.raises(ShapeMismatchError,
+                       match=r"operands disagree: \(d=2, m=4\) vs \(d=3, m=4\)"):
+        kernel(tsx, tsy, 4)
 
 
 def test_solution_without_state():

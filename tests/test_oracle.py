@@ -11,6 +11,8 @@ from pabsig import (
     tail_bound,
 )
 
+from pabsig import oracle
+
 from helpers import line_series, series_with_variation
 
 
@@ -53,10 +55,15 @@ def test_direct_kernel_symmetric():
     )
 
 
-def test_direct_kernel_validation():
+def test_direct_kernel_validation(monkeypatch):
+    def no_signature(*args):
+        raise AssertionError("signature computed before the dimension check")
+
     a = line_series([1.0, 0.0], 1)
     b = line_series([1.0], 1)
-    with pytest.raises(ShapeMismatchError):
+    monkeypatch.setattr(oracle, "chen_signature", no_signature)
+    with pytest.raises(ShapeMismatchError,
+                       match=r"operands disagree: \(d=2, m=3\) vs \(d=1, m=3\)"):
         direct_truncated_kernel(a, b, 3)
     with pytest.raises(ValueError):
         direct_truncated_kernel(a, a, 0)
