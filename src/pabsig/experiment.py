@@ -27,7 +27,7 @@ from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .goursat import solve, solve_order1
+from .goursat import kernel, solve, solve_order1
 from .lift import PiecewiseAbelianPath, TimeSeries, build_pab, thin_partition
 from .tensors import ShapeMismatchError, tensor_dim
 
@@ -140,9 +140,7 @@ def error_estimate(ts_x: TimeSeries, ts_y: TimeSeries, m: int, k: int,
         raise ValueError(f"factor {k} does not divide grid sizes {nx}, {ny}")
     if reference is None:
         reference = reference_value(ts_x, ts_y)
-    px = build_pab(ts_x, thin_partition(ts_x, k), m)
-    py = build_pab(ts_y, thin_partition(ts_y, k), m)
-    return abs(reference - solve(px, py).value)
+    return abs(reference - kernel(ts_x, ts_y, m, thin_partition(ts_x, k), thin_partition(ts_y, k)))
 
 
 def _sample_pairs(cfg: ExperimentConfig) -> List[Tuple[TimeSeries, TimeSeries]]:

@@ -60,13 +60,15 @@ place of all N = N(d, m).  Outside the scalar slot, which it overwrites,
 every term the shorter row products drop is a product with an exact 0;
 the shorter sums still round differently, by an ulp or so.
 
-Memory: a coupled sweep keeps two rows of state, as one
-(2, B, N_y+1, 2k) array, plus the (B, 2k, N) matrix V, the (B, N_y, 2k)
-right adjoints of the row, the (B, N_y, k) psi forcing, and for a block
-of K = N/2 rows the cell coefficients and four weights, five (B, K, N_y)
-arrays; k is N(d, m-1), or N with the grids.  The scalar sweep keeps the
-(B, N_x, N_y) cell coefficients, which its skewed view shares, and four
-anti-diagonals of u.  The full grids exist only when asked for.
+Memory: every per-column array of the coupled sweep's row step has k
+coefficients, k = N(d, m-1), or N with the grids: the two rows of state,
+one (2, B, N_y+1, 2k) array, the boundary partial signatures, the
+(B, N_y, 2k) right adjoints of the row and the (B, N_y, k) psi forcing.
+Only the (B, 2k, N) matrix V, the increments and the block of K = N/2
+rows of cell coefficients and four weights, five (B, K, N_y) arrays, are
+sized by N.  The scalar sweep keeps the (B, N_x, N_y) cell coefficients,
+which its skewed view shares, and four anti-diagonals of u.  The full
+grids exist only when asked for.
 """
 
 from __future__ import annotations
@@ -206,14 +208,17 @@ def _weights(c, fire_s=None):
 def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     """Values one pair of the shape adds to a sweep call's working set.
 
-    The scalar sweep holds the N_x x N_y cell coefficients.  The coupled
-    sweep, with N coefficients per tensor and k = N(d, m-1) per state row,
-    holds per grid column, of which it counts max(N_x, N_y) + 1: 8k values
-    of state rows, row adjoints and psi forcing; 10N of increments,
-    boundary partials and the block's coefficients and weights with their
-    temporaries; and 32 of the u march, whose Python float lists take 4
-    values per float.  Add the 2k x N matrix V.  Measured single-pair peaks
-    are 0.8-0.9 of this at d = 1-3, m = 2-4 on 64-256 cells a side.
+    The scalar sweep holds the N_x x N_y cell coefficients.  In the
+    coupled sweep every per-column array of the row step has k = N(d, m-1)
+    coefficients, and only V, the increments and the weight block are
+    sized by N (see the module docstring).  Per grid column, of which it
+    counts max(N_x, N_y) + 1, it holds 8k values of state rows, row
+    adjoints and psi forcing; 10N of increments, boundary partials and the
+    block's coefficients and weights with their temporaries, which
+    over-counts the partials, of k coefficients; and 32 of the u march,
+    whose Python float lists take 4 values per float.  Add the 2k x N
+    matrix V.  Measured single-pair peaks are 0.75-0.82 of this at
+    d = 1-3, m = 2-4 on 64-256 cells a side.
     """
     if m == 1:
         return nx * ny
@@ -363,17 +368,18 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     of y_j from 0 under that forcing, written straight into the new row.
     The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> at the four corners
     of the cells are two row-wise dot products over both grid rows, which
-    skip the scalar slots.  The boundary partial signatures are computed
-    at degree m and cut to k coefficients, so they keep the bits of the
-    full sweep.
+    skip the scalar slots.  The boundary partial signatures come from the
+    first k coefficients of the increments at the degree of the state;
+    every per-column array here has k coefficients, and only V, the
+    increments and the weight block are sized by N.
 
     The new u[i+1, j+1] is alpha_j u[i+1, j] + beta_j.  _corner is linear
     in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
     c/12 where D_s fires), of u[i, j], of u[i, j+1] and of the first
     adjoint term depend only on the cell coefficient c = <x_i, y_j>.  They
     come from _corner on basis inputs (_weights), once per block of
-    K = N/2 rows; the block's coefficients and weights take about as many
-    values as one grid row of all N coefficients of phi and psi.  beta_j is then one linear
+    K = N/2 rows: blocks of N/4 rows ran 1.23x slower at N = 7, and of
+    4N/5 rows as fast with higher peaks.  beta_j is then one linear
     combination per row, plus _corner on the fired curvature terms in rows
     where the correction fires, and u advances by one multiply-add per
     cell on Python floats, which is the same IEEE arithmetic as numpy
@@ -387,10 +393,11 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     mk = m if state is not None else m - 1     # degree of the state rows
     k = offs[mk + 1]
 
+    Yk = Y[..., :k]
     rows = np.zeros((2, B, ny + 1, 2 * k))
-    rows[0, :, :, k:] = _partials(d, m, Y)[..., :k]
+    rows[0, :, :, k:] = _partials(d, mk, Yk)
     rows[0, :, 1:, 0] = 1.0
-    phi_bnd = _partials(d, m, X)[..., :k]
+    phi_bnd = _partials(d, mk, X[..., :k])
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
     # row i of pair b has a cell that fires iff x_i repeats against some pure
@@ -399,7 +406,6 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
                  | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
     # levels l..m of every y_j, rows indexed by prefix words of levels 0..m-l
     y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, mk + 1)]
-    Yk = Y[..., :k]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
     v = np.zeros((B, 2 * k, n))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pabsig import (
+    ErrorRecord,
     TimeSeries,
     chen_signature,
     exp_trunc,
@@ -230,7 +231,7 @@ def test_gram_directory(tmp_path, capsys):
     assert g[0, 0] > 2.0
 
 
-def test_gram_check_psd(tmp_path, capsys):
+def test_gram_check_psd(tmp_path, monkeypatch, capsys):
     d = tmp_path / "set"
     d.mkdir()
     rng = np.random.default_rng(72)
@@ -241,6 +242,12 @@ def test_gram_check_psd(tmp_path, capsys):
     assert main(["gram", str(d), "--check-psd"]) == 0
     err = capsys.readouterr().err
     assert "min eigenvalue" in err
+    monkeypatch.setattr(cli, "gram_matrix", lambda *args: np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert main(["gram", str(d), "--check-psd"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["min eigenvalue -1.0",
+                                "Gram matrix fails the positive semi-definite check"]
 
 
 def test_gram_json_lists_files(tmp_path, capsys):
@@ -328,6 +335,10 @@ def test_convergence_config_failures(tmp_path, capsys):
     bad_factor = small_config(tmp_path, factors=[5])
     assert main(["convergence", "--config", str(bad_factor)]) == 2
     capsys.readouterr()
+    assert main(["convergence", "--config", str(tmp_path)]) == 2     # a directory
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
     # values of the wrong type or range: one error line, no traceback, no
     # numpy warning, and nothing truncated to an int behind the user's back
     base = {"n_fine": "8", "factors": "[4]", "degrees": "[1]", "repetitions": "1"}
@@ -344,6 +355,16 @@ def test_convergence_config_failures(tmp_path, capsys):
         assert code == 2, (key, value)
         assert out == "" and err.startswith("error: bad config: ") and err.count("\n") == 1
         assert not caught, (key, value)
+
+
+def test_convergence_non_finite_error_exits_numeric(tmp_path, monkeypatch, capsys):
+    cfg = small_config(tmp_path)
+    for bad in (np.nan, np.inf):
+        records = [ErrorRecord(1, 4, 0.5, 0.1, np.array([0.4, 0.6])),
+                   ErrorRecord(2, 4, bad, 0.0, np.array([bad, 0.6]))]
+        monkeypatch.setattr(cli, "convergence_experiment", lambda cfg: records)
+        assert main(["convergence", "--config", str(cfg)]) == 4
+        assert capsys.readouterr() == ("", "experiment produced non-finite errors\n")
 
 
 @pytest.mark.parametrize("command", ["kernel", "logsig", "gram", "convergence"])
@@ -386,11 +407,15 @@ def test_output_file_matches_stdout(tmp_path, capsys, command, fmt):
     assert out.read_bytes() == printed.encode()
 
 
-def test_selftest(capsys):
+def test_selftest(monkeypatch, capsys):
     assert main(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) >= 5
     assert all(line.startswith("ok   ") for line in lines)
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda: [("sound", lambda: None), ("broken", lambda: "got 3")])
+    assert main(["selftest"]) == 4
+    assert capsys.readouterr().out.splitlines() == ["ok   sound", "FAIL broken: got 3"]
 
 
 def test_module_entry_point(tmp_path):

@@ -29,6 +29,8 @@ def test_simulate_bm_shape_and_grid():
     assert ts.values.shape == (17, 2)
     np.testing.assert_allclose(ts.times, np.linspace(0.0, 1.0, 17), rtol=1e-15)
     assert not ts.values[0].any()
+    with pytest.raises(ValueError, match="need at least one step, got 0"):
+        simulate_bm(2, 0, 1.0, seed=0)
 
 
 def test_simulate_bm_deterministic():

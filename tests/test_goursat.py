@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pabsig import (
+    GoursatState,
     NumericError,
     PiecewiseAbelianPath,
     ShapeMismatchError,
@@ -120,6 +121,12 @@ def test_step_requires_dependencies():
     state = init_boundaries(px, py)
     with pytest.raises(ValueError):
         step(state, 1, 1)
+    scalar = solve_order1([[1.0, 0.0]], [[0.5, 0.5]], keep_state=True).state
+    with pytest.raises(ValueError, match="state lacks adjoint grids"):
+        step(scalar, 0, 0)
+    bare = GoursatState(state.dim, state.degree, state.u, state.phi, state.psi)
+    with pytest.raises(ValueError, match="state lacks the path increments"):
+        step(bare, 0, 0)
 
 
 def test_step_zero_x_increment():

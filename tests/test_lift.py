@@ -81,6 +81,13 @@ def test_segment_signature_powers():
     np.testing.assert_allclose(sig.coeffs, expected, rtol=1e-15)
 
 
+def test_segment_signature_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"increment must be a vector, got shape \(1, 2\)"):
+        segment_signature([[1.0, 0.0]], 2)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        segment_signature([1.0, 0.0], 0)
+
+
 def test_chen_single_segment():
     ts = TimeSeries([0.0, 1.0], [[0.0, 0.0], [0.3, -0.7]])
     got = chen_signature(ts, None, 3)
@@ -214,6 +221,7 @@ def test_pab_validation():
         rejected(ValueError, part, nonfinite, "non-finite")
     for partition in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
         rejected(ValueError, partition, np.zeros((2, 7)), "strictly increasing")
+    rejected(ValueError, [0.0], np.zeros((0, 7)), "partition needs at least 2 points")
 
 
 def test_build_pab_full_grid_degree_one():
@@ -245,6 +253,8 @@ def test_build_pab_rejects_bad_partitions():
         build_pab(ts, [1.0, 3.0], 2)
     with pytest.raises(ValueError):
         build_pab(ts, [0.0, 2.0, 1.0, 3.0], 2)
+    with pytest.raises(ValueError, match="partition needs at least 2 points"):
+        build_pab(ts, [0.0], 2)
 
 
 def test_build_pab_names_the_first_off_grid_point():

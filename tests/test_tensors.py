@@ -20,7 +20,9 @@ from pabsig import (
     word_index,
 )
 
-from pabsig.tensors import _concat_tables, _exp, _ladj, _log, _mul, _operator, _radj, _running
+from pabsig.tensors import (
+    _concat_tables, _exp, _ladj, _log, _mul, _operator, _partials, _radj, _running,
+)
 
 from helpers import level_one, rand_scalar_free, rand_tensor
 
@@ -40,6 +42,10 @@ def test_tensor_dim():
     for d in (1, 2, 3):
         for m in range(5):
             assert tensor_dim(d, m) == sum(d**k for k in range(m + 1))
+    with pytest.raises(ValueError, match="alphabet size must be >= 1, got 0"):
+        tensor_dim(0, 2)
+    with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+        tensor_dim(2, -1)
 
 
 def test_word_index_examples():
@@ -66,6 +72,10 @@ def test_word_index_rejects_bad_letters():
         word_index((0,), 2)
     with pytest.raises(ValueError):
         word_index((3,), 2)
+    with pytest.raises(ValueError, match="negative index -1"):
+        index_to_word(-1, 2)
+    with pytest.raises(ValueError, match="alphabet size must be >= 1, got 0"):
+        index_to_word(3, 0)
 
 
 def test_unit():
@@ -89,6 +99,11 @@ def test_level_views():
     assert a.level(1).tolist() == [1.0, 2.0]
     assert a.level(2).tolist() == [3.0, 4.0, 5.0, 6.0]
     assert a.coeff((2, 1)) == 5.0
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match=f"level {k} outside 0..2"):
+            a.level(k)
+    with pytest.raises(ValueError, match="word longer than degree 2"):
+        a.coeff((1, 2, 1))
 
 
 def test_linear_combine():
@@ -230,6 +245,10 @@ def test_log_examples():
     np.testing.assert_allclose(
         lg.coeffs, [0.0, 1.0, 1.0, 0.0, 0.5, -0.5, 0.0], atol=1e-15
     )
+    # degree 0 holds only the scalar slot, which a logarithm zeroes
+    for d in (1, 2, 3):
+        zero = log_trunc(unit(d, 0))
+        assert (zero.dim, zero.degree, zero.coeffs.tolist()) == (d, 0, [0.0])
 
 
 def test_log_rejects_bad_scalar():
@@ -388,6 +407,30 @@ def test_running_into_strided_out_matches_bitwise():
         got = _running(d, m, b, f, out=out)
         assert got is out
         assert out.tobytes() == _running(d, m, b, f).tobytes()
+
+
+def test_exp_and_partials_prefix_is_the_lower_degree_result_bitwise():
+    # level n of exp(L) and of the partial signatures reads no level above
+    # n of L, and the terms a higher degree adds to the lower levels are
+    # products with the exact 0 of the scalar slot, added first to the 0
+    # they start from; so the coupled sweep builds its boundary rows at the
+    # degree of its state.  Rows hold exact +0.0 and -0.0 entries.
+    rng = np.random.default_rng(68)
+    for d in (1, 2, 3):
+        for m in range(2, 6):
+            n = tensor_dim(d, m)
+            rows = rng.standard_normal((2, 4, n)) * rng.choice([0.01, 0.3, 3.0], (2, 4, 1))
+            zeros = rng.random(rows.shape) < 0.4
+            rows[zeros] = np.where(rng.random(rows.shape) < 0.5, 0.0, -0.0)[zeros]
+            rows[..., 0] = 0.0
+            rows[1, :, 0] = -0.0
+            assert np.signbit(rows[zeros]).any() and not np.signbit(rows[zeros]).all()
+            e, g = _exp(d, m, rows), _partials(d, m, rows)
+            for low in range(1, m):
+                k = tensor_dim(d, low)
+                assert _exp(d, low, rows[..., :k]).tobytes() == e[..., :k].tobytes(), (d, m, low)
+                assert _partials(d, low, rows[..., :k]).tobytes() == g[..., :k].tobytes(), \
+                    (d, m, low)
 
 
 def adjoint_by_words(a, c, left):
