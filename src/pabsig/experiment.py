@@ -28,8 +28,8 @@ from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .goursat import kernel, solve, solve_order1
-from .lift import PiecewiseAbelianPath, TimeSeries, build_pab, thin_partition
-from .tensors import ShapeMismatchError, tensor_dim
+from .lift import TimeSeries, _leading, build_pab, thin_partition
+from .tensors import ShapeMismatchError
 
 __all__ = [
     "ExperimentConfig",
@@ -155,17 +155,6 @@ def _sample_pairs(cfg: ExperimentConfig) -> List[Tuple[TimeSeries, TimeSeries]]:
     return pairs
 
 
-def _truncated(p: PiecewiseAbelianPath, m: int) -> PiecewiseAbelianPath:
-    """The degree-m lift inside a lift p of higher degree.
-
-    Level n of an interval's signature and of its logarithm reads only
-    levels up to n, so the first tensor_dim(d, m) coefficients of each row
-    are bit for bit the degree-m log-signature.
-    """
-    return PiecewiseAbelianPath(p.dim, m, p.partition,
-                                p.increments[:, :tensor_dim(p.dim, m)])
-
-
 def convergence_experiment(cfg: ExperimentConfig) -> List[ErrorRecord]:
     """One ErrorRecord per (degree, factor), degrees outer, ascending.
 
@@ -183,7 +172,7 @@ def convergence_experiment(cfg: ExperimentConfig) -> List[ErrorRecord]:
             px = build_pab(x, thin_partition(x, k), top)
             py = build_pab(y, thin_partition(y, k), top)
             for m in cfg.degrees:
-                value = solve(_truncated(px, m), _truncated(py, m)).value
+                value = solve(_leading(px, m), _leading(py, m)).value
                 errors[m, k].append(abs(ref - value))
     records = []
     for (m, k), cell in errors.items():

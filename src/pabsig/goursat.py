@@ -60,15 +60,18 @@ place of all N = N(d, m).  Outside the scalar slot, which it overwrites,
 every term the shorter row products drop is a product with an exact 0;
 the shorter sums still round differently, by an ulp or so.
 
-Memory: every per-column array of the coupled sweep's row step has k
-coefficients, k = N(d, m-1), or N with the grids: the two rows of state,
-one (2, B, N_y+1, 2k) array, the boundary partial signatures, the
-(B, N_y, 2k) right adjoints of the row and the (B, N_y, k) psi forcing.
-Only the (B, 2k, N) matrix V, the increments and the block of K = N/2
-rows of cell coefficients and four weights, five (B, K, N_y) arrays, are
-sized by N.  The scalar sweep keeps the (B, N_x, N_y) cell coefficients,
-which its skewed view shares, and four anti-diagonals of u.  The full
-grids exist only when asked for.
+Memory: the coupled sweep's row step keeps per grid column the two rows
+of state, one (2, B, N_y+1, 2k) array with k = N(d, m-1), or N with the
+grids; the boundary partial signatures, of k coefficients; the
+(B, N_y, 2k) right adjoints of the row; per tensor level l the
+(B, N_y, 1, d^l) psi forcing and product buffers; and for 2 <= l <= the
+state's degree the (B, N_y, N(d, l-1) - 1, d^l) product matrices P_l of
+the y increments, which outgrow k: 27 values per column against k = 13 at
+d=3, m=3, and 351 against 40 at d=3, m=4.  Only the (B, 2k, N) matrix V,
+the increments and the block of K = N/2 rows of cell coefficients and
+four weights, five (B, K, N_y) arrays, are sized by N.  The scalar sweep
+keeps the (B, N_x, N_y) cell coefficients, which its skewed view shares,
+and four anti-diagonals of u.  The full grids exist only when asked for.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ from .tensors import (
     _offsets,
     _operator,
     _partials,
+    _products,
     _radj,
-    _running,
     tensor_dim,
 )
 
@@ -209,21 +212,25 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     """Values one pair of the shape adds to a sweep call's working set.
 
     The scalar sweep holds the N_x x N_y cell coefficients.  In the
-    coupled sweep every per-column array of the row step has k = N(d, m-1)
-    coefficients, and only V, the increments and the weight block are
-    sized by N (see the module docstring).  Per grid column, of which it
-    counts max(N_x, N_y) + 1, it holds 8k values of state rows, row
-    adjoints and psi forcing; 10N of increments, boundary partials and the
+    coupled sweep every per-column array of the row step but the product
+    matrices P_l has k = N(d, m-1) coefficients, and only V, the
+    increments and the weight block are sized by N (see the module
+    docstring).  Per grid column, of which it counts max(N_x, N_y) + 1, it
+    holds 8k values of state rows, row adjoints and the per-level psi
+    forcing and product buffers; the (N(d, l-1) - 1) d^l values of each
+    P_l, 2 <= l <= m-1; 10N of increments, boundary partials and the
     block's coefficients and weights with their temporaries, which
     over-counts the partials, of k coefficients; and 32 of the u march,
     whose Python float lists take 4 values per float.  Add the 2k x N
-    matrix V.  Measured single-pair peaks are 0.75-0.82 of this at
+    matrix V.  Measured single-pair peaks are 0.74-0.85 of this at
     d = 1-3, m = 2-4 on 64-256 cells a side.
     """
     if m == 1:
         return nx * ny
     n, k = tensor_dim(d, m), tensor_dim(d, m - 1)
-    return (8 * k + 10 * n + 32) * (max(nx, ny) + 1) + 2 * k * n
+    offs = _offsets(d, m)
+    prods = sum((offs[l] - 1) * d**l for l in range(2, m))
+    return (8 * k + prods + 10 * n + 32) * (max(nx, ny) + 1) + 2 * k * n
 
 
 def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> GoursatState:
@@ -364,14 +371,17 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     scalar slots of the new row take u[i, j], unshifted, so that the psi
     forcing u[i, j] y_j + L*_phi(y_j) of levels 1..m-1 (or 1..m) is one
     matmul per tensor level of the new phi rows by the levels of y_j.  psi
-    is the running product tensors._running, at the degree of the state,
-    of y_j from 0 under that forcing, written straight into the new row.
-    The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> at the four corners
-    of the cells are two row-wise dot products over both grid rows, which
-    skip the scalar slots.  The boundary partial signatures come from the
-    first k coefficients of the increments at the degree of the state;
-    every per-column array here has k coefficients, and only V, the
-    increments and the weight block are sized by N.
+    is the running product psi[j+1] = psi[j] (x) (1 + y_j) + forcing from
+    psi[0] = 0, built level by level, since level l of psi[j+1] reads only
+    lower levels of psi[j]: from l = 2 on, one more matmul of the levels
+    1..l-1 of the new psi rows by the product matrices P_l of the y_j
+    (tensors._products, filled once per call) adds the terms psi_a (x)
+    y_{l-a}, and one add.accumulate along the row writes level l into the
+    new row.  The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> at the
+    four corners of the cells are two row-wise dot products over both grid
+    rows, which skip the scalar slots.  The boundary partial signatures
+    come from the first k coefficients of the increments at the degree of
+    the state.
 
     The new u[i+1, j+1] is alpha_j u[i+1, j] + beta_j.  _corner is linear
     in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
@@ -393,9 +403,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     mk = m if state is not None else m - 1     # degree of the state rows
     k = offs[mk + 1]
 
-    Yk = Y[..., :k]
     rows = np.zeros((2, B, ny + 1, 2 * k))
-    rows[0, :, :, k:] = _partials(d, mk, Yk)
+    rows[0, :, :, k:] = _partials(d, mk, Y[..., :k])
     rows[0, :, 1:, 0] = 1.0
     phi_bnd = _partials(d, mk, X[..., :k])
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
@@ -406,13 +415,16 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
                  | (pure_x & rep_y.any(axis=1)[:, None])).any(axis=0).tolist()
     # levels l..m of every y_j, rows indexed by prefix words of levels 0..m-l
     y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, mk + 1)]
+    # level l: the psi forcing, and from l = 2 on the products with y_j
+    prods = [None] + [_products(d, l, Y) for l in range(2, mk + 1)]
+    force = [np.empty((B, ny, 1, d**l)) for l in range(1, mk + 1)]
+    grown = [None] + [np.empty((B, ny, 1, d**l)) for l in range(2, mk + 1)]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
     v = np.zeros((B, 2 * k, n))
     vk = v[..., :k]                             # the columns that reach the state
     diag = v.reshape(B, -1)[:, :k * n:n + 1]    # the diagonal of the M_x^T block
     r = np.empty((B, ny, 2 * k))
-    f = np.empty((B, ny, 1, k))
     block = max(1, n // 2)
     Yt = Y.transpose(0, 2, 1)
 
@@ -435,13 +447,16 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         np.matmul(old[:, 1:], vk, out=new[:, 1:, :k])
         new[..., 0] = u_prev
 
-        # psi[j+1] = psi[j] (x) (1 + y_j) + u[i, j] y_j + L*_phi[j](y_j), a
-        # running product from psi[0] = 0; u[i, j] is the scalar slot of phi[j]
+        # psi[j+1] = psi[j] (x) (1 + y_j) + u[i, j] y_j + L*_phi[j](y_j) from
+        # psi[0] = 0, level by level; u[i, j] is the scalar slot of phi[j]
         lo = new[:, :-1, None]
-        for level, y_l in enumerate(y_from, 1):
-            np.matmul(lo[..., :offs[m - level + 1]], y_l,
-                      out=f[..., offs[level]:offs[level + 1]])
-        _running(d, mk, Yk, f[..., 0, :], out=new[..., k:])
+        for level, y_l, f, p, g in zip(range(1, mk + 1), y_from, force, prods, grown):
+            np.matmul(lo[..., :offs[m - level + 1]], y_l, out=f)
+            if p is not None:
+                np.matmul(lo[..., k + 1:k + offs[level]], p, out=g)
+                f += g
+            np.add.accumulate(f[..., 0, :], axis=1,
+                              out=new[:, 1:, k + offs[level]:k + offs[level + 1]])
 
         # adjoint terms at the corners (i, j), (i+1, j) and (i, j+1), (i+1, j+1)
         g_lo = (rows[:, :, :-1, None, 1:] @ r[..., 1:, None])[..., 0, 0]

@@ -146,6 +146,22 @@ class PiecewiseAbelianPath:
         return self.partition.size - 1
 
 
+def _leading(p: PiecewiseAbelianPath, m: int) -> PiecewiseAbelianPath:
+    """The degree-m lift inside a lift p of degree at least m.
+
+    Level n of an interval's signature and of its logarithm reads only
+    levels up to n, so the first tensor_dim(d, m) coefficients of each row
+    are bit for bit the degree-m log-signature.  The path shares p's
+    checked, read-only arrays (its increments are a view of p's), so the
+    constructor's copies and checks are skipped.
+    """
+    path = object.__new__(PiecewiseAbelianPath)
+    for name, value in (("dim", p.dim), ("degree", m), ("partition", p.partition),
+                        ("increments", p.increments[:, :tensor_dim(p.dim, m)])):
+        object.__setattr__(path, name, value)
+    return path
+
+
 def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Signatures of consecutive runs of linear segments, one row per run.
 
@@ -166,12 +182,17 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     order = np.argsort(-counts, kind="stable")
     starts, counts = bounds[:-1][order], counts[order]
     scaled = deltas / np.arange(1, m + 1)[:, None, None]   # [k-1] = delta/k
+    # runs still going at each position s, and the segments they take there,
+    # position after position: one gather of as many rows as there are segments
+    lives = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]), side="right")
+    ends = np.cumsum(lives)
+    run = np.arange(ends[-1]) - np.repeat(ends - lives, lives)
+    steps = scaled[:, starts[run] + np.repeat(np.arange(counts[0]), lives)]
     sig = np.zeros((len(starts), offs[-1]))
     sig[:, 0] = 1.0
     levels = [sig[:, offs[n]:offs[n + 1]] for n in range(m + 1)]
-    for s in range(int(counts[0])):
-        live = int(np.count_nonzero(counts > s))
-        step = scaled[:, starts[:live] + s]
+    for live, end in zip(lives.tolist(), ends.tolist()):
+        step = steps[:, end - live:end]
         for n in range(m, 0, -1):
             acc = step[n - 1]
             for j in range(1, n):

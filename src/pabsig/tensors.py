@@ -9,13 +9,12 @@ a level-p block with a level-q block lands exactly on the level-(p+q) block
 in concatenation order.  Everything in this module relies on that layout.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated, except that the private _operator, and _running when asked,
-write into an out array they are given.  Coefficients are 64-bit floats
-throughout.  The raw-array primitives (_mul, _exp, _log, the running
-product _running and the partial signatures _partials) broadcast over
-leading axes, so a stack of elements is one array of shape (..., N); every
-row goes through the same elementwise operations as the 1-D call, so
-batching never changes a bit.
+allocated, except that the private _operator writes into an out array it
+is given.  Coefficients are 64-bit floats throughout.  The raw-array
+primitives (_mul, _exp, _log, the running product _running and the
+partial signatures _partials) broadcast over leading axes, so a stack of
+elements is one array of shape (..., N); every row goes through the same
+elementwise operations as the 1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -230,8 +229,7 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
     return TruncTensor(a.dim, a.degree, _log(a.dim, a.degree, a.coeffs))
 
 
-def _running(d: int, m: int, b: np.ndarray, f: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
+def _running(d: int, m: int, b: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j
     from a_0 = 0.
 
@@ -241,16 +239,11 @@ def _running(d: int, m: int, b: np.ndarray, f: np.ndarray,
     below k of a_j, so each level is one prefix sum over the rows.  Within
     a level the terms are summed as _mul sums them: f_j first, then
     a_j[l] (x) b_j[k-l] for ascending l >= 1; the l = 0 term, which is
-    zero, is not added at all, so even signed zeros keep their bits.  The
-    rows are written into out, shape (..., N+1, n) and possibly a strided
-    view, when it is given; it is returned either way.
+    zero, is not added at all, so even signed zeros keep their bits.
     """
     offs = _offsets(d, m)
     lead, rows = b.shape[:-2], b.shape[-2]
-    if out is None:
-        out = np.zeros(lead + (rows + 1, offs[-1]))
-    else:
-        out[...] = 0.0
+    out = np.zeros(lead + (rows + 1, offs[-1]))
     for k in range(1, m + 1):
         acc = f[..., offs[k]:offs[k + 1]]
         for l in range(1, k):
@@ -301,22 +294,60 @@ def _concat_tables(d: int, m: int):
     return tables
 
 
+@lru_cache(maxsize=None)
+def _operator_index(d: int, m: int, k: int):
+    """Flat positions in a (2k, N) matrix V = [M_x^T ; S_x] of its split
+    entries, and the coefficients of x they hold, for the first k prefixes.
+
+    The split tables run in prefix order, so the splits of the first k
+    prefixes are a leading slice of them: position u N + uv of the M_x^T
+    block takes x[v] and position (k + u) N + v of the S_x block x[uv].
+    """
+    words, prefixes, suffixes = _concat_tables(d, m)
+    n = _offsets(d, m)[-1]
+    stop = np.searchsorted(prefixes, k)
+    words, prefixes, suffixes = words[:stop], prefixes[:stop], suffixes[:stop]
+    dest = np.concatenate([prefixes * n + words, (k + prefixes) * n + suffixes])
+    src = np.concatenate([suffixes, words])
+    for arr in (dest, src):
+        arr.setflags(write=False)
+    return dest, src
+
+
 def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
     """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2k, N).
 
     Only the rows of the first k <= N prefixes are written, rows u < k of
-    M_x^T and of S_x; the split tables run in prefix order, so that is a
-    leading slice of them.  For z = [phi | psi] with k coefficients each,
+    M_x^T and of S_x.  For z = [phi | psi] with k coefficients each,
     z @ V == phi (x) x + L*_psi(x), and V @ y holds the first k
     coefficients of R*_x(y) and of R*_y(x).  Only split positions are
-    written; out must be 0 elsewhere.
+    written, by one scatter through the flat positions of _operator_index;
+    out must be 0 elsewhere, and C-contiguous, since a reshape of any other
+    out would be a copy.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    dest, src = _operator_index(d, m, out.shape[-2] // 2)
+    out.reshape(out.shape[:-2] + (-1,))[..., dest] = x[..., src]
+
+
+def _products(d: int, m: int, y: np.ndarray) -> np.ndarray:
+    """Matrices P of rows y, shape (..., N(d, m-1) - 1, d^m), P[w, ws] = y[s].
+
+    Row w - 1 is the word w of level 1..m-1 and column ws - N(d, m-1) the
+    word ws of level m, so for a row a of levels 1..m-1 (a without its
+    scalar slot, cut to N(d, m-1) coefficients), a @ P is the level-m
+    block of the sum of a_l (x) y_{m-l} over 1 <= l < m: the level-m part
+    of a (x) y without its l = 0 and l = m terms.  Filled from the split
+    tables of degree m.
     """
     words, prefixes, suffixes = _concat_tables(d, m)
-    k = out.shape[-2] // 2
-    stop = np.searchsorted(prefixes, k)
-    words, prefixes, suffixes = words[:stop], prefixes[:stop], suffixes[:stop]
-    out[..., prefixes, words] = x[..., suffixes]
-    out[..., k + prefixes, suffixes] = x[..., words]
+    offs = _offsets(d, m)
+    keep = (words >= offs[m]) & (prefixes > 0) & (suffixes > 0)
+    rows, cols = offs[m] - 1, d**m
+    out = np.zeros(y.shape[:-1] + (rows * cols,))
+    out[..., (prefixes[keep] - 1) * cols + words[keep] - offs[m]] = y[..., suffixes[keep]]
+    return out.reshape(y.shape[:-1] + (rows, cols))
 
 
 def _ladj(d: int, m: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ from pabsig import (
 )
 
 from pabsig.tensors import (
-    _concat_tables, _exp, _ladj, _log, _mul, _operator, _partials, _radj, _running,
+    _concat_tables, _exp, _ladj, _log, _mul, _offsets, _operator, _operator_index,
+    _partials, _products, _radj, _running,
 )
 
 from helpers import level_one, rand_scalar_free, rand_tensor
@@ -394,19 +395,24 @@ def test_running_leading_axes_match_single_calls_bitwise():
             assert got[r].tobytes() == _running(d, m, b[r], f[r]).tobytes()
 
 
-def test_running_into_strided_out_matches_bitwise():
-    # the coupled sweep writes psi straight into the psi half of its state
-    # rows; stale values there must not leak into the result
-    rng = np.random.default_rng(65)
-    for d, m in ((1, 3), (2, 3), (3, 2)):
-        n = tensor_dim(d, m)
-        b = rng.standard_normal((2, 4, n))
-        f = rng.standard_normal((2, 4, n))
-        rows = rng.standard_normal((2, 5, 2 * n))
-        out = rows[..., n:]
-        got = _running(d, m, b, f, out=out)
-        assert got is out
-        assert out.tobytes() == _running(d, m, b, f).tobytes()
+def test_products_give_the_inner_terms_of_the_top_level():
+    # the coupled sweep adds sum_{1 <= l < K} psi_l (x) y_{K-l} to level K of
+    # psi as one matmul of psi's levels 1..K-1 by _products; with both scalar
+    # slots 0, _mul's level K is that sum plus the vanishing l = 0 and l = K
+    # terms, added in ascending l
+    rng = np.random.default_rng(69)
+    for d in (1, 2, 3):
+        for K in range(2, 6):
+            offs = _offsets(d, K)
+            a, y = rng.standard_normal((2, 2, 3, offs[-1]))
+            a[..., 0] = y[..., 0] = 0.0
+            want = _mul(d, K, a, y)[..., offs[K]:]
+            p = _products(d, K, y)
+            assert p.shape == (2, 3, offs[K] - 1, d**K)
+            got = (a[..., None, 1:offs[K]] @ p)[..., 0, :]
+            if K == 2:
+                assert got.tobytes() == want.tobytes(), d
+            assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), (d, K)
 
 
 def test_exp_and_partials_prefix_is_the_lower_degree_result_bitwise():
@@ -489,6 +495,44 @@ def test_operator_rows_below_k_match_the_full_operator_bitwise():
             _operator(d, m, x, part)
             want = np.concatenate([full[:, :k], full[:, n:n + k]], axis=1)
             assert part.tobytes() == want.tobytes(), (d, m)
+
+
+def test_operator_index_fills_the_table_positions():
+    # the one flat scatter of _operator writes exactly the split positions,
+    # and the values, of a fill straight from the split tables
+    rng = np.random.default_rng(70)
+    for d in (1, 2, 3):
+        for m in range(1, 5):
+            n = tensor_dim(d, m)
+            words, prefixes, suffixes = _concat_tables(d, m)
+            for k in (tensor_dim(d, m - 1), n):
+                x = rng.standard_normal((2, n))
+                stop = np.searchsorted(prefixes, k)
+                w, p, s = words[:stop], prefixes[:stop], suffixes[:stop]
+                want = np.zeros((2, 2 * k, n))
+                want[:, p, w] = x[:, s]
+                want[:, k + p, s] = x[:, w]
+                marks = np.zeros((2 * k, n), dtype=bool)
+                marks[p, w] = marks[k + p, s] = True
+                dest, _ = _operator_index(d, m, k)
+                assert len(np.unique(dest)) == len(dest)
+                assert np.array_equal(np.sort(dest), np.flatnonzero(marks)), (d, m, k)
+                got = np.zeros((2, 2 * k, n))
+                _operator(d, m, x, got)
+                assert got.tobytes() == want.tobytes(), (d, m, k)
+
+
+def test_operator_rejects_out_that_is_not_c_contiguous():
+    # a flat scatter through a reshape of such an out would fill a copy
+    d, m = 2, 3
+    n = tensor_dim(d, m)
+    x = np.ones(n)
+    for out in (np.zeros((2 * n, 2 * n))[:, :n], np.zeros((n, 2 * n)).T,
+                np.zeros((3, 2 * n, n))[::2]):
+        before = out.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _operator(d, m, x, out)
+        assert out.tobytes() == before.tobytes()
 
 
 def test_adjoints_of_mixed_degrees_match_words():
