@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,8 +57,8 @@ class ExperimentConfig:
 
     Counts, factors, degrees and the seed are integers (not bools), the seed
     >= 0 and the rest >= 1; horizon is finite and > 0.  factors and degrees
-    are normalized to ascending tuples; every factor must divide n_fine so
-    coarse grids are exact subgrids.
+    are normalized to ascending tuples, and none may repeat; every factor
+    must divide n_fine so coarse grids are exact subgrids.
     """
 
     dim: int = 2
@@ -79,6 +79,9 @@ class ExperimentConfig:
         degrees = tuple(sorted(_whole("degree", m, 1) for m in self.degrees))
         if not factors or not degrees:
             raise ValueError("factors and degrees must be non-empty")
+        for name, values in (("factor", factors), ("degree", degrees)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} {max(values, key=values.count)} is repeated")
         for k in factors:
             if self.n_fine % k:
                 raise ValueError(f"factor {k} does not divide n_fine={self.n_fine}")
@@ -88,9 +91,7 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "ExperimentConfig":
         """Build from a parsed JSON object; unknown keys are rejected."""
-        known = {"dim", "n_fine", "factors", "degrees", "repetitions",
-                 "horizon", "seed"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)

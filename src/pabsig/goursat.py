@@ -64,14 +64,15 @@ Memory: the coupled sweep's row step keeps per grid column the two rows
 of state, one (2, B, N_y+1, 2k) array with k = N(d, m-1), or N with the
 grids; the boundary partial signatures, of k coefficients; the
 (B, N_y, 2k) right adjoints of the row; per tensor level l the
-(B, N_y, 1, d^l) psi forcing and product buffers; and for 2 <= l <= the
-state's degree the (B, N_y, N(d, l-1) - 1, d^l) product matrices P_l of
-the y increments, which outgrow k: 27 values per column against k = 13 at
-d=3, m=3, and 351 against 40 at d=3, m=4.  Only the (B, 2k, N) matrix V,
-the increments and the block of K = N/2 rows of cell coefficients and
-four weights, five (B, K, N_y) arrays, are sized by N.  The scalar sweep
-keeps the (B, N_x, N_y) cell coefficients, which its skewed view shares,
-and four anti-diagonals of u.  The full grids exist only when asked for.
+(B, N_y, 1, d^l) temporaries of the psi forcing and products; and for
+2 <= l <= the state's degree the (B, N_y, N(d, l-1) - 1, d^l) product
+matrices P_l of the y increments, which outgrow k: 27 values per column
+against k = 13 at d=3, m=3, and 351 against 40 at d=3, m=4.  Only the
+(B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
+coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
+The scalar sweep keeps the (B, N_x, N_y) cell coefficients, which its
+skewed view shares, and four anti-diagonals of u.  The full grids exist
+only when asked for.
 """
 
 from __future__ import annotations
@@ -216,14 +217,14 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     matrices P_l has k = N(d, m-1) coefficients, and only V, the
     increments and the weight block are sized by N (see the module
     docstring).  Per grid column, of which it counts max(N_x, N_y) + 1, it
-    holds 8k values of state rows, row adjoints and the per-level psi
-    forcing and product buffers; the (N(d, l-1) - 1) d^l values of each
-    P_l, 2 <= l <= m-1; 10N of increments, boundary partials and the
-    block's coefficients and weights with their temporaries, which
-    over-counts the partials, of k coefficients; and 32 of the u march,
-    whose Python float lists take 4 values per float.  Add the 2k x N
-    matrix V.  Measured single-pair peaks are 0.74-0.85 of this at
-    d = 1-3, m = 2-4 on 64-256 cells a side.
+    holds 8k values of state rows, row adjoints and the per-level
+    temporaries of the psi forcing and products; the (N(d, l-1) - 1) d^l
+    values of each P_l, 2 <= l <= m-1; 10N of increments, boundary
+    partials and the block's coefficients and weights with their
+    temporaries, which over-counts the partials, of k coefficients; and 32
+    of the u march, whose Python float lists take 4 values per float.  Add
+    the 2k x N matrix V.  Measured single-pair peaks are 0.74-0.85 of
+    this at d = 1-3, m = 2-4 on 64-256 cells a side.
     """
     if m == 1:
         return nx * ny
@@ -417,8 +418,6 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, mk + 1)]
     # level l: the psi forcing, and from l = 2 on the products with y_j
     prods = [None] + [_products(d, l, Y) for l in range(2, mk + 1)]
-    force = [np.empty((B, ny, 1, d**l)) for l in range(1, mk + 1)]
-    grown = [None] + [np.empty((B, ny, 1, d**l)) for l in range(2, mk + 1)]
     u_prev = np.ones((B, ny + 1))
     u_prev2 = u_prev                            # row i-1, read once i > 0
     v = np.zeros((B, 2 * k, n))
@@ -450,11 +449,10 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         # psi[j+1] = psi[j] (x) (1 + y_j) + u[i, j] y_j + L*_phi[j](y_j) from
         # psi[0] = 0, level by level; u[i, j] is the scalar slot of phi[j]
         lo = new[:, :-1, None]
-        for level, y_l, f, p, g in zip(range(1, mk + 1), y_from, force, prods, grown):
-            np.matmul(lo[..., :offs[m - level + 1]], y_l, out=f)
+        for level, y_l, p in zip(range(1, mk + 1), y_from, prods):
+            f = lo[..., :offs[m - level + 1]] @ y_l
             if p is not None:
-                np.matmul(lo[..., k + 1:k + offs[level]], p, out=g)
-                f += g
+                f += lo[..., k + 1:k + offs[level]] @ p
             np.add.accumulate(f[..., 0, :], axis=1,
                               out=new[:, 1:, k + offs[level]:k + offs[level + 1]])
 

@@ -11,10 +11,10 @@ in concatenation order.  Everything in this module relies on that layout.
 All operations are pure: inputs are never mutated and results are freshly
 allocated, except that the private _operator writes into an out array it
 is given.  Coefficients are 64-bit floats throughout.  The raw-array
-primitives (_mul, _exp, _log, the running product _running and the
-partial signatures _partials) broadcast over leading axes, so a stack of
-elements is one array of shape (..., N); every row goes through the same
-elementwise operations as the 1-D call, so batching never changes a bit.
+primitives (_mul, _exp, _log and the partial signatures _partials)
+broadcast over leading axes, so a stack of elements is one array of shape
+(..., N); every row goes through the same elementwise operations as the
+1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -229,37 +229,30 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
     return TruncTensor(a.dim, a.degree, _log(a.dim, a.degree, a.coeffs))
 
 
-def _running(d: int, m: int, b: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Rows a_0..a_N of the running product a_{j+1} = a_j (x) (1 + b_j) + f_j
-    from a_0 = 0.
-
-    b and f hold one row per step, shape (..., N, n).  Their scalar slots
-    are never read, so b may be a group element such as exp(L_j) as well,
-    and every row has scalar slot 0.  Level k of a_{j+1} reads only levels
-    below k of a_j, so each level is one prefix sum over the rows.  Within
-    a level the terms are summed as _mul sums them: f_j first, then
-    a_j[l] (x) b_j[k-l] for ascending l >= 1; the l = 0 term, which is
-    zero, is not added at all, so even signed zeros keep their bits.
-    """
-    offs = _offsets(d, m)
-    lead, rows = b.shape[:-2], b.shape[-2]
-    out = np.zeros(lead + (rows + 1, offs[-1]))
-    for k in range(1, m + 1):
-        acc = f[..., offs[k]:offs[k + 1]]
-        for l in range(1, k):
-            low = out[..., :-1, offs[l]:offs[l + 1], None]
-            acc = acc + (low * b[..., None, offs[k - l]:offs[k - l + 1]]).reshape(acc.shape)
-        np.cumsum(acc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
-    return out
-
-
 def _partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
     """Rows i = 0..N of the partial signatures G_i = exp(L_0) (x) ... (x)
-    exp(L_{i-1}) of scalar-free rows L_j, minus 1, with leading axes as in
-    _running: G_{j+1} - 1 = (G_i - 1) (x) exp(L_j) + (exp(L_j) - 1) is
-    _running with b = f = exp(L_j), whose scalar slots it never reads."""
+    exp(L_{i-1}) of scalar-free rows L_j, minus 1, broadcast over leading
+    axes: incs has shape (..., N, n) and the result (..., N+1, n).
+
+    With e_j = exp(L_j), G_{j+1} - 1 = (G_j - 1) (x) e_j + (e_j - 1) from
+    G_0 - 1 = 0.  Level k of G_{j+1} - 1 reads only levels below k of
+    G_j - 1, so each level is one prefix sum over the rows.  Within a level
+    the terms are summed as _mul sums them: e_j first, then
+    (G_j - 1)[l] (x) e_j[k-l] for ascending l >= 1; the l = 0 term, which
+    is zero, is never added, so even signed zeros keep their bits.  The
+    scalar slot of e_j is never read, and every row has scalar slot 0.
+    """
+    offs = _offsets(d, m)
     e = _exp(d, m, incs)
-    return _running(d, m, e, e)
+    lead, rows = e.shape[:-2], e.shape[-2]
+    out = np.zeros(lead + (rows + 1, offs[-1]))
+    for k in range(1, m + 1):
+        acc = e[..., offs[k]:offs[k + 1]]
+        for l in range(1, k):
+            low = out[..., :-1, offs[l]:offs[l + 1], None]
+            acc = acc + (low * e[..., None, offs[k - l]:offs[k - l + 1]]).reshape(acc.shape)
+        np.cumsum(acc, axis=-2, out=out[..., 1:, offs[k]:offs[k + 1]])
+    return out
 
 
 @lru_cache(maxsize=None)

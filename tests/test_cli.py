@@ -345,7 +345,8 @@ def test_convergence_config_failures(tmp_path, capsys):
     path = tmp_path / "typed.json"
     for key, value in (("n_fine", "8.0"), ("dim", "2.5"), ("dim", "true"),
                        ("repetitions", "2.0"), ("seed", '"abc"'), ("degrees", "[1.7]"),
-                       ("factors", "[4.5]"), ("seed", "-1"), ("horizon", "1e400")):
+                       ("factors", "[4.5]"), ("seed", "-1"), ("horizon", "1e400"),
+                       ("factors", "[4, 4]"), ("degrees", "[1, 1]")):
         fields = {**base, key: value}
         path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
         with warnings.catch_warnings(record=True) as caught:

@@ -1,4 +1,5 @@
 import io
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ def test_config_validation():
         ExperimentConfig(factors=())
     with pytest.raises(ValueError):
         ExperimentConfig(horizon=0.0)
+    # a repeat would put its errors into one cell twice
+    with pytest.raises(ValueError, match="factor 4 is repeated"):
+        ExperimentConfig(n_fine=16, factors=(4, 4), degrees=(1,))
+    with pytest.raises(ValueError, match="degree 2 is repeated"):
+        ExperimentConfig(n_fine=16, factors=(4,), degrees=(1, 2, 2))
     cfg = ExperimentConfig(factors=(8, 4), degrees=(2, 1))
     assert cfg.factors == (4, 8)
     assert cfg.degrees == (1, 2)
@@ -134,6 +140,7 @@ def test_config_from_mapping():
     assert cfg.factors == (4, 8)
     with pytest.raises(ValueError):
         ExperimentConfig.from_mapping({"n_fine": 64, "mystery": 1})
+    assert ExperimentConfig.from_mapping(asdict(ExperimentConfig())) == ExperimentConfig()
 
 
 def test_convergence_experiment_structure():

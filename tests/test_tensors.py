@@ -22,7 +22,7 @@ from pabsig import (
 
 from pabsig.tensors import (
     _concat_tables, _exp, _ladj, _log, _mul, _offsets, _operator, _operator_index,
-    _partials, _products, _radj, _running,
+    _partials, _products, _radj,
 )
 
 from helpers import level_one, rand_scalar_free, rand_tensor
@@ -358,41 +358,15 @@ def test_batched_primitives_match_rows_bitwise():
         prod_one = _mul(d, m, a, b[0, 0])
         e = _exp(d, m, free)
         lg = _log(d, m, group)
+        incs = rng.standard_normal((2, 3, 4, n))
+        incs[..., 0] = 0.0
+        parts = _partials(d, m, incs)
         for r in np.ndindex(2, 3):
             assert prod[r].tobytes() == _mul(d, m, a[r], b[r]).tobytes()
             assert prod_one[r].tobytes() == _mul(d, m, a[r], b[0, 0]).tobytes()
             assert e[r].tobytes() == _exp(d, m, free[r]).tobytes()
             assert lg[r].tobytes() == _log(d, m, group[r]).tobytes()
-
-
-def test_running_matches_product_loop():
-    rng = np.random.default_rng(63)
-    for d, m in ((1, 4), (2, 3), (3, 2)):
-        n = tensor_dim(d, m)
-        b = rng.standard_normal((5, n)) * 0.5
-        f = rng.standard_normal((5, n))
-        f[:, 0] = 0.0
-        free = b.copy()
-        free[:, 0] = 0.0                      # the scalar slot of b is never read
-        got = _running(d, m, b, f)
-        a = np.zeros(n)
-        assert got[0].tobytes() == a.tobytes()
-        for j in range(5):
-            a = a + _mul(d, m, a, free[j]) + f[j]
-            scale = max(1.0, float(np.abs(a).max()))
-            assert np.abs(got[j + 1] - a).max() <= 1e-13 * scale
-
-
-def test_running_leading_axes_match_single_calls_bitwise():
-    rng = np.random.default_rng(64)
-    for d, m in ((1, 3), (2, 3), (3, 2)):
-        n = tensor_dim(d, m)
-        b = rng.standard_normal((2, 3, 4, n))
-        f = rng.standard_normal((2, 3, 4, n))
-        f[..., 0] = 0.0
-        got = _running(d, m, b, f)
-        for r in np.ndindex(2, 3):
-            assert got[r].tobytes() == _running(d, m, b[r], f[r]).tobytes()
+            assert parts[r].tobytes() == _partials(d, m, incs[r]).tobytes()
 
 
 def test_products_give_the_inner_terms_of_the_top_level():
