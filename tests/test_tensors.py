@@ -358,15 +358,24 @@ def test_batched_primitives_match_rows_bitwise():
         prod_one = _mul(d, m, a, b[0, 0])
         e = _exp(d, m, free)
         lg = _log(d, m, group)
-        incs = rng.standard_normal((2, 3, 4, n))
-        incs[..., 0] = 0.0
-        parts = _partials(d, m, incs)
         for r in np.ndindex(2, 3):
             assert prod[r].tobytes() == _mul(d, m, a[r], b[r]).tobytes()
             assert prod_one[r].tobytes() == _mul(d, m, a[r], b[0, 0]).tobytes()
             assert e[r].tobytes() == _exp(d, m, free[r]).tobytes()
             assert lg[r].tobytes() == _log(d, m, group[r]).tobytes()
-            assert parts[r].tobytes() == _partials(d, m, incs[r]).tobytes()
+
+
+def test_running_leading_axes_match_single_calls_bitwise():
+    # the running product of _partials, batched over leading axes, equals
+    # one call per row bit for bit
+    rng = np.random.default_rng(64)
+    for d, m in ((1, 3), (2, 3), (3, 2)):
+        n = tensor_dim(d, m)
+        incs = rng.standard_normal((2, 3, 4, n))
+        incs[..., 0] = 0.0
+        got = _partials(d, m, incs)
+        for r in np.ndindex(2, 3):
+            assert got[r].tobytes() == _partials(d, m, incs[r]).tobytes()
 
 
 def test_products_give_the_inner_terms_of_the_top_level():
