@@ -27,9 +27,9 @@ from typing import IO, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .goursat import kernel, solve, solve_order1
+from .goursat import _IDENTITY_SLACK, kernel, solve, solve_order1
 from .lift import TimeSeries, _leading, build_pab, thin_partition
-from .tensors import ShapeMismatchError
+from .tensors import NumericError, ShapeMismatchError
 
 __all__ = [
     "ExperimentConfig",
@@ -191,7 +191,10 @@ def gram_matrix(dataset: Sequence[TimeSeries], m: int, every: int = 1) -> np.nda
     """Pairwise kernel matrix of a dataset of series with a shared dim.
 
     Partitions take every-th sample point (final point always kept).
-    Entries are computed for i <= j and mirrored.
+    Entries are computed for i <= j and mirrored.  A diagonal entry below
+    1, or an entry above the Cauchy-Schwarz bound sqrt(K_ii K_jj), by more
+    than the relative slack goursat._IDENTITY_SLACK raises NumericError:
+    the exact kernel satisfies both.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -207,6 +210,13 @@ def gram_matrix(dataset: Sequence[TimeSeries], m: int, every: int = 1) -> np.nda
     for i in range(n):
         for j in range(i, n):
             gram[i, j] = gram[j, i] = solve(pabs[i], pabs[j]).value
+    i = int(np.diag(gram).argmin())
+    if gram[i, i] < 1.0 - _IDENTITY_SLACK:
+        raise NumericError(f"kernel of series {i} with itself is {float(gram[i, i])!r}, below 1")
+    root = np.sqrt(np.diag(gram))
+    i, j = divmod(int((np.abs(gram) / np.outer(root, root)).argmax()), n)
+    if abs(gram[i, j]) > root[i] * root[j] * (1.0 + _IDENTITY_SLACK):
+        raise NumericError(f"kernel of series {i} and {j} exceeds the Cauchy-Schwarz bound")
     return gram
 
 

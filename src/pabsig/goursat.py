@@ -101,6 +101,11 @@ from .tensors import (
 # content above level 1, for the curvature correction.
 _ROUNDING = 1e-12
 
+# Relative slack of the exact-kernel identities k(x, x) >= 1 and
+# |k(x, y)| <= sqrt(k(x, x) k(y, y)) (Cauchy-Schwarz); kernel() and
+# experiment.gram_matrix() raise NumericError on a value beyond it.
+_IDENTITY_SLACK = 1e-9
+
 # Working set, in float64 values, that one pair-batched sweep call may hold;
 # solve_pairs() runs larger groups of pairs in consecutive chunks, counting
 # each pair by _pair_values.
@@ -521,8 +526,6 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
     gated = bool(rep_x.any() or rep_y.any())
-    # cell (i, p - i) reads column ny-1-p+i of the reversed y side
-    rep_yr = rep_y[:, ::-1]
     before, u0, u1, new = np.ones((4, B, nx + 2))
     for p in range(nx + ny - 1):
         lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
@@ -531,8 +534,8 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
         u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
         curv = None
         if gated:
-            col = slice(ny - 1 - p + lo, ny - 1 - p + hi)
-            fire_s, fire_t = rep_x[:, lo:hi], rep_yr[:, col]
+            # cell (i, p - i) reads y interval p - i, so y runs backwards
+            fire_s, fire_t = rep_x[:, lo:hi], rep_y[:, p - hi + 1:p - lo + 1][:, ::-1]
             if fire_s.any() or fire_t.any():
                 curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
                         + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
@@ -580,9 +583,15 @@ def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
     """Signature kernel of two sampled paths via their degree-m lifts.
 
     Partitions default to the full sample grids.  Series of different
-    dimensions raise ShapeMismatchError before either is lifted.
+    dimensions raise ShapeMismatchError before either is lifted.  When both
+    lifts are equal, a value below 1 - _IDENTITY_SLACK raises NumericError:
+    every exact k(x, x) is at least 1.
     """
     _check_pair(ts_x, ts_y, m)
     px = build_pab(ts_x, ts_x.times if partition_x is None else partition_x, m)
     py = build_pab(ts_y, ts_y.times if partition_y is None else partition_y, m)
-    return solve(px, py).value
+    value = solve(px, py).value
+    if value < 1.0 - _IDENTITY_SLACK and all(map(
+            np.array_equal, (px.partition, px.increments), (py.partition, py.increments))):
+        raise NumericError(f"kernel of a path with itself is {value!r}, below 1")
+    return value

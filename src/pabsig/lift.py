@@ -100,6 +100,17 @@ class TimeSeries:
         return int(idx) if idx.ndim == 0 else idx
 
 
+def _partition(partition) -> np.ndarray:
+    """A float64 copy of partition points, checked to be at least 2 and
+    strictly increasing."""
+    part = np.array(partition, dtype=np.float64)
+    if part.ndim != 1 or part.size < 2:
+        raise ValueError("partition needs at least 2 points")
+    if not np.all(np.diff(part) > 0):
+        raise ValueError("partition must be strictly increasing")
+    return part
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseAbelianPath:
     """Partition times plus one interval log-signature per interval.
@@ -117,11 +128,7 @@ class PiecewiseAbelianPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        part = np.array(self.partition, dtype=np.float64)
-        if part.ndim != 1 or part.size < 2:
-            raise ValueError("partition needs at least 2 points")
-        if not np.all(np.diff(part) > 0):
-            raise ValueError("partition must be strictly increasing")
+        part = _partition(self.partition)
         incs = np.array(self.increments, dtype=np.float64)
         n = tensor_dim(self.dim, self.degree)
         if incs.ndim != 2 or incs.shape[1] != n:
@@ -185,13 +192,11 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     # runs still going at each position s, and the segments they take there,
     # position after position: one gather of as many rows as there are segments
     lives = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]), side="right")
-    ends = np.cumsum(lives)
-    run = np.arange(ends[-1]) - np.repeat(ends - lives, lives)
-    steps = scaled[:, starts[run] + np.repeat(np.arange(counts[0]), lives)]
+    steps = scaled[:, np.concatenate([starts[:live] + s for s, live in enumerate(lives)])]
     sig = np.zeros((len(starts), offs[-1]))
     sig[:, 0] = 1.0
     levels = [sig[:, offs[n]:offs[n + 1]] for n in range(m + 1)]
-    for live, end in zip(lives.tolist(), ends.tolist()):
+    for live, end in zip(lives.tolist(), np.cumsum(lives).tolist()):
         step = steps[:, end - live:end]
         for n in range(m, 0, -1):
             acc = step[n - 1]
@@ -267,14 +272,10 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     Every partition point must be a sample time (no resampling happens
     here), and the partition must span the whole series.
     """
-    part = np.asarray(partition, dtype=np.float64)
-    if part.ndim != 1 or part.size < 2:
-        raise ValueError("partition needs at least 2 points")
+    part = _partition(partition)
     idx = ts.locate(part)
     if idx[0] != 0 or idx[-1] != ts.times.size - 1:
         raise ValueError("partition must cover the whole series")
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("partition must be strictly increasing")
     logs = _lifted(ts.dim, m, ts.increments(), idx, log=True)
     return PiecewiseAbelianPath(ts.dim, m, part, logs)
 

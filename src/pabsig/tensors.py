@@ -51,7 +51,8 @@ class ShapeMismatchError(ValueError):
 
 
 class NumericError(ValueError):
-    """A computed quantity, such as a lifted signature, is not finite."""
+    """A computed quantity, such as a lifted signature, is not finite, or a
+    computed kernel breaks an identity that the exact kernel satisfies."""
 
 
 @lru_cache(maxsize=None)
@@ -343,6 +344,14 @@ def _products(d: int, m: int, y: np.ndarray) -> np.ndarray:
     return out.reshape(y.shape[:-1] + (rows, cols))
 
 
+def _matched(a: TruncTensor, c: TruncTensor) -> np.ndarray:
+    """Coefficients of a at the degree of c, truncated or zero-padded;
+    raises ShapeMismatchError unless a and c share the alphabet."""
+    if a.dim != c.dim:
+        raise ShapeMismatchError(f"alphabet mismatch: {a.dim} vs {c.dim}")
+    return (project(a, c.degree) if a.degree >= c.degree else embed(a, c.degree)).coeffs
+
+
 def _ladj(d: int, m: int, a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Raw adjoint of left multiplication in T^m(R^d): out[v] = sum_u a[u] * c[uv]."""
     words, prefixes, suffixes = _concat_tables(d, m)
@@ -355,10 +364,7 @@ def left_adjoint(a: TruncTensor, c: TruncTensor) -> TruncTensor:
     The result satisfies <c, a (x) b> == <left_adjoint(a, c), b> for every b
     within the truncation of c; its coefficient of e_v is sum_u a[u]*c[uv].
     """
-    if a.dim != c.dim:
-        raise ShapeMismatchError(f"alphabet mismatch: {a.dim} vs {c.dim}")
-    a = project(a, c.degree) if a.degree >= c.degree else embed(a, c.degree)
-    return TruncTensor(c.dim, c.degree, _ladj(c.dim, c.degree, a.coeffs, c.coeffs))
+    return TruncTensor(c.dim, c.degree, _ladj(c.dim, c.degree, _matched(a, c), c.coeffs))
 
 
 def _radj(d: int, m: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -373,10 +379,7 @@ def right_adjoint(b: TruncTensor, c: TruncTensor) -> TruncTensor:
     The result satisfies <c, a (x) b> == <right_adjoint(b, c), a> within the
     truncation of c; its coefficient of e_u is sum_v b[v]*c[uv].
     """
-    if b.dim != c.dim:
-        raise ShapeMismatchError(f"alphabet mismatch: {b.dim} vs {c.dim}")
-    b = project(b, c.degree) if b.degree >= c.degree else embed(b, c.degree)
-    return TruncTensor(c.dim, c.degree, _radj(c.dim, c.degree, b.coeffs, c.coeffs))
+    return TruncTensor(c.dim, c.degree, _radj(c.dim, c.degree, _matched(b, c), c.coeffs))
 
 
 def word_index(word: Iterable[int], d: int) -> int:
@@ -394,18 +397,14 @@ def index_to_word(index: int, d: int) -> Tuple[int, ...]:
     """Inverse of word_index; recovers the letter sequence."""
     if index < 0:
         raise ValueError(f"negative index {index}")
-    if d < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {d}")
-    start, block, length = 0, 1, 0
-    while index >= start + block:
-        start += block
-        block *= d
+    length = 0
+    while tensor_dim(d, length) <= index:
         length += 1
-    local = index - start
+    local = index - _offsets(d, length)[length]
     letters = []
     for _ in range(length):
-        letters.append(local % d + 1)
-        local //= d
+        local, letter = divmod(local, d)
+        letters.append(letter + 1)
     return tuple(reversed(letters))
 
 

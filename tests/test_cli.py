@@ -274,6 +274,29 @@ def test_gram_failures(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("values, shown", (
+    # the 1-D path 0, 30, -30, 30: exact I0(60), about 5.9e24, and cell
+    # coefficients up to 3600, on which the sweep loses all accuracy
+    ((0.0, 30.0, -30.0, 30.0), "-1.0723406656497966e+18"),
+    # the zigzag 0, 1, 0: exact 1, and one step per cell gives 0.9375
+    ((0.0, 1.0, 0.0), "0.9375"),
+))
+def test_self_kernel_below_one_exits_numeric(tmp_path, capsys, values, shown):
+    # every exact kernel of a path with itself is at least 1
+    d = tmp_path / "set"
+    d.mkdir()
+    write_series(d / "a.csv", [0.0, 1.0, 2.0], [[0.0], [0.1], [0.3]])
+    x = d / "b.csv"
+    write_series(x, np.arange(len(values), dtype=float), np.array(values)[:, None])
+    for degree in ("1", "3"):
+        assert main(["kernel", str(x), str(x), "--degree", degree]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: kernel of a path with itself is {shown}, below 1\n")
+        assert main(["gram", str(d), "--degree", degree]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: kernel of series 1 with itself is {shown}, below 1\n")
+
+
 def small_config(tmp_path, **overrides):
     cfg = {"n_fine": 32, "factors": [4, 8], "degrees": [1, 2],
            "repetitions": 2, "seed": 5}

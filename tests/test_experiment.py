@@ -7,6 +7,8 @@ import pytest
 from pabsig import (
     ErrorRecord,
     ExperimentConfig,
+    KernelSolution,
+    NumericError,
     ShapeMismatchError,
     TimeSeries,
     build_pab,
@@ -21,6 +23,8 @@ from pabsig import (
     write_pair_errors_csv,
     write_records_csv,
 )
+
+from pabsig import experiment
 
 from helpers import line_series, rand_series
 
@@ -218,6 +222,30 @@ def test_gram_matrix_validation():
         gram_matrix([a, b], 1)
     with pytest.raises(ValueError):
         gram_matrix([], 1)
+
+
+def test_gram_matrix_gates_kernel_identities(monkeypatch):
+    # every exact Gram matrix has K_ii >= 1 and |K_ij| <= sqrt(K_ii K_jj);
+    # computed entries may miss either by the relative slack 1e-9 only
+    dataset = [simulate_bm(2, 4, 1.0, seed=s) for s in range(3)]
+
+    def gram(diag, corner):
+        # entries in solve order: (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
+        values = iter([diag, 1.0, corner, 2.0, 1.0, 2.0])
+        monkeypatch.setattr(experiment, "solve", lambda px, py: KernelSolution(next(values)))
+        return gram_matrix(dataset, 1)
+
+    assert gram(2.0, 2.0)[0, 2] == 2.0
+    assert gram(1.0 - 0.5e-9, 1.0)[0, 0] == 1.0 - 0.5e-9
+    assert gram(2.0, -2.0 * (1.0 + 0.5e-9))[2, 0] == -2.0 * (1.0 + 0.5e-9)
+    with pytest.raises(NumericError, match=r"^kernel of series 0 with itself is 0\.5, below 1$"):
+        gram(0.5, 0.1)
+    with pytest.raises(NumericError, match=r"^kernel of series 0 with itself is -3\.0, below 1$"):
+        gram(-3.0, 0.1)
+    for corner in (2.0 * (1.0 + 2e-9), -2.5):
+        with pytest.raises(NumericError,
+                           match=r"^kernel of series 0 and 2 exceeds the Cauchy-Schwarz bound$"):
+            gram(2.0, corner)
 
 
 def test_write_records_csv():

@@ -435,6 +435,26 @@ def test_kernel_wrapper():
     assert coarse != got
 
 
+def test_kernel_gates_a_self_kernel_below_one():
+    # the zigzag 0, 1, 0 has exact self-kernel 1; one step per cell gives 0.9375
+    zigzag = TimeSeries([0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]])
+    again = TimeSeries([0.0, 1.0, 2.0], [[0.0], [1.0], [0.0]])
+    for m in (1, 2, 3):
+        with pytest.raises(NumericError,
+                           match=r"^kernel of a path with itself is 0\.9375, below 1$"):
+            kernel(zigzag, again, m)
+    # equal lifts only: on two partitions one path has two lifts, which the
+    # gate does not compare, so this 0.890625 passes though the exact
+    # kernel of the two 1-D lifts, of total increment 0, is 1
+    twice = TimeSeries(np.arange(5.0), [[0.0], [1.0], [0.0], [1.0], [0.0]])
+    for m in (1, 2, 3):
+        coarse = kernel(twice, twice, m, partition_y=[0.0, 1.0, 2.0, 4.0])
+        assert coarse == 0.890625
+    # the kernel of two distinct paths may be below 1
+    up, down = line_series([1.0], 2), line_series([-1.0], 2)
+    assert kernel(up, down) < 1.0
+
+
 def test_kernel_wrapper_dim_mismatch(monkeypatch):
     def no_lift(*args):
         raise AssertionError("lifted before the dimension check")

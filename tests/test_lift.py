@@ -251,8 +251,10 @@ def test_build_pab_rejects_bad_partitions():
         build_pab(ts, [0.0, 2.0], 2)
     with pytest.raises(ValueError):
         build_pab(ts, [1.0, 3.0], 2)
-    with pytest.raises(ValueError):
-        build_pab(ts, [0.0, 2.0, 1.0, 3.0], 2)
+    # the order is checked before the grid, as PiecewiseAbelianPath checks it
+    for part in ([0.0, 2.0, 1.0, 3.0], [0.0, 1.0, 1.0, 3.0], [0.0, 2.5, 1.0, 3.0]):
+        with pytest.raises(ValueError, match="^partition must be strictly increasing$"):
+            build_pab(ts, part, 2)
     with pytest.raises(ValueError, match="partition needs at least 2 points"):
         build_pab(ts, [0.0], 2)
 
@@ -331,12 +333,15 @@ def test_thin_partition():
 @pytest.mark.parametrize("d", (1, 2, 3))
 def test_build_pab_matches_per_segment_chen_loop(d):
     # 23 segments: every 5 leaves a 3-segment remainder, every 11 a final
-    # one-segment interval, every 1 only one-segment intervals
+    # one-segment interval, every 1 only one-segment intervals; the last
+    # partition has runs of 1, 9, 2, 1, 6 and 4 segments, in no order of
+    # length, so a different number of runs is still going at most steps
     rng = np.random.default_rng(40 + d)
     ts = rand_series(rng, d, 23)
+    parts = [thin_partition(ts, every) for every in (1, 5, 11)]
+    parts.append(ts.times[np.cumsum([0, 1, 9, 2, 1, 6, 4])])
     for m in (1, 2, 3, 4):
-        for every in (1, 5, 11):
-            part = thin_partition(ts, every)
+        for part in parts:
             got = build_pab(ts, part, m).increments
             want = log_signature_rows(ts, part, m)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -60,9 +60,9 @@ def test_word_index_examples():
 
 
 def test_word_index_bijection():
-    for d in (1, 2, 3):
-        words = all_words(d, 3)
-        assert len(words) == tensor_dim(d, 3)
+    for d, m in ((1, 3), (2, 3), (3, 3), (1, 5), (2, 5), (3, 5)):
+        words = all_words(d, m)
+        assert len(words) == tensor_dim(d, m)
         for i, w in enumerate(words):
             assert word_index(w, d) == i
             assert index_to_word(i, d) == w
