@@ -84,6 +84,7 @@ import numpy as np
 
 from .lift import PiecewiseAbelianPath, TimeSeries, build_pab
 from .tensors import (
+    _BATCH_VALUES,
     NumericError,
     ShapeMismatchError,
     _check_pair,
@@ -105,11 +106,6 @@ _ROUNDING = 1e-12
 # |k(x, y)| <= sqrt(k(x, x) k(y, y)) (Cauchy-Schwarz); kernel() and
 # experiment.gram_matrix() raise NumericError on a value beyond it.
 _IDENTITY_SLACK = 1e-9
-
-# Working set, in float64 values, that one pair-batched sweep call may hold;
-# solve_pairs() runs larger groups of pairs in consecutive chunks, counting
-# each pair by _pair_values.
-_BATCH_VALUES = 1 << 19
 
 __all__ = [
     "GoursatState",

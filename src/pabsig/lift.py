@@ -11,11 +11,15 @@ the piecewise linear path itself.  The partial signatures
 exp(L_0) (x) ... (x) exp(L_{i-1}) of such a path come from
 tensors._partials, which also gives the Goursat solver its boundary data.
 
-All intervals of a path are lifted at once.  One batched kernel steps
-through segment positions and multiplies every interval that still has a
-segment at that position by the exponential of its level-1 increment;
-the multiply is fused into one Horner pass per level, so exp(delta) is
-never formed (as in Signatory, Kidger & Lyons 2021).  One batched
+All intervals of a path are lifted at once, level by level.  Multiplying
+a signature by the exponential of a segment's level-1 increment is fused
+into one Horner product per level, so exp(delta) is never formed (as in
+Signatory, Kidger & Lyons 2021).  The product at every segment position of
+every interval is formed in a few batched numpy calls per chunk of
+positions (a chunk holds at most tensors._BATCH_VALUES values), and one
+cumulative sum along the positions turns them into the level at each
+position.  It adds in the same order as multiplying one segment after the
+other, so the bits are those of the sequential product.  One batched
 logarithm follows.  Overflow raises NumericError instead of returning
 non-finite coefficients.
 """
@@ -28,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .tensors import (
+    _BATCH_VALUES,
     NumericError,
     ShapeMismatchError,
     TruncTensor,
@@ -173,39 +178,62 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Signatures of consecutive runs of linear segments, one row per run.
 
     Run i is segments bounds[i] .. bounds[i+1]-1 of `deltas` (shape
-    (n_segments, d)) and must hold at least one.  Rows are ordered by
-    segment count, longest first, so that at position s the runs still
-    going form a leading slice; finished rows are left untouched.  Each step
-    multiplies by exp(delta) in place, top level first, by Horner:
+    (n_segments, d)) and must hold at least one.  Multiplying by exp(delta)
+    at step position t changes level n by a Horner product of delta with
+    the lower levels a_j(t-1) before the step:
 
         level n += (...((delta/n + a_1) (x) delta/(n-1) + a_2) ... + a_{n-1}) (x) delta/1
 
-    using the scalar slot a_0 = 1, which the product keeps exact; a lift by
-    _exp and the running product of tensors._partials instead was 3.7x
-    slower.
+    with the scalar slot a_0 = 1, which the product keeps exact.  Runs are
+    sorted longest first and their positions cut into chunks, each within
+    _BATCH_VALUES values of working set.  A chunk gathers the increments of
+    the runs still going at its first position into one (d, runs, steps)
+    array, zero past each run's end; the run and step axes come last, so
+    each broadcast product runs long contiguous inner loops.  Level by level
+    from n = 1, it forms the product at every position of the chunk at
+    once, from the lower levels found before, and one np.add.accumulate
+    along the steps, started from each run's level n before the chunk,
+    gives level n at every position.  The bits are those of
+    tests/helpers.chen_steps, which multiplies one position at a time:
+    accumulate adds in sequence, exactly as the in-place updates did, and a
+    zero increment past a run's end adds a product of +-0 to a sum that
+    started at +0, which leaves it unchanged.  A lift by _exp and the
+    running product of tensors._partials instead was 3.7x slower.
     """
     offs = _offsets(d, m)
-    counts = np.diff(bounds)
+    counts = bounds[1:] - bounds[:-1]
     order = np.argsort(-counts, kind="stable")
     starts, counts = bounds[:-1][order], counts[order]
-    scaled = deltas / np.arange(1, m + 1)[:, None, None]   # [k-1] = delta/k
-    # runs still going at each position s, and the segments they take there,
-    # position after position: one gather of as many rows as there are segments
-    lives = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]), side="right")
-    steps = scaled[:, np.concatenate([starts[:live] + s for s, live in enumerate(lives)])]
-    sig = np.zeros((len(starts), offs[-1]))
-    sig[:, 0] = 1.0
-    levels = [sig[:, offs[n]:offs[n + 1]] for n in range(m + 1)]
-    for live, end in zip(lives.tolist(), np.cumsum(lives).tolist()):
-        step = steps[:, end - live:end]
-        for n in range(m, 0, -1):
-            acc = step[n - 1]
+    divisors = np.arange(1, m + 1)[:, None, None, None]
+    one = np.ones((1, 1, 2))                    # a_0 = 1 at every position
+    sig = np.zeros((offs[-1], len(starts)))     # coefficient-major state
+    sig[0] = 1.0
+    s, total = 0, int(counts[0])
+    while s < total:
+        live = int(np.count_nonzero(counts > s))
+        width = min(total - s, max(1, _BATCH_VALUES // (live * offs[-1])))
+        pos = np.arange(s, s + width)
+        going = pos < counts[:live, None]
+        steps = deltas.T[:, np.where(going, starts[:live, None] + pos, 0)]
+        scaled = np.where(going, steps, 0.0) / divisors   # [k-1] = delta/k
+        # levels[j][..., t] is level j after t steps of the chunk, so
+        # levels[j][..., :-1] holds a_j(t-1) at every position t
+        levels = [one]
+        for n in range(1, m + 1):
+            lev = np.empty((d ** (n - 1), d, live, width + 1))
+            lev[..., 0] = sig[offs[n]:offs[n + 1], :live].reshape(-1, d, live)
+            acc = levels[0][..., :-1]
             for j in range(1, n):
-                acc = ((acc + levels[j][:live])[:, :, None]
-                       * step[n - j - 1][:, None, :]).reshape(live, -1)
-            levels[n][:live] += acc
-    out = np.empty_like(sig)
-    out[order] = sig
+                acc = ((acc[:, None] * scaled[n - j]).reshape(-1, live, width)
+                       + levels[j][..., :-1])
+            np.multiply(acc[:, None], scaled[0], out=lev[..., 1:])
+            lev = lev.reshape(-1, live, width + 1)
+            np.add.accumulate(lev, axis=2, out=lev)
+            sig[offs[n]:offs[n + 1], :live] = lev[..., -1]
+            levels.append(lev)
+        s += width
+    out = np.empty((len(starts), offs[-1]))
+    out[order] = sig.T
     return out
 
 

@@ -21,9 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import itertools
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
+
+# Working set, in float64 values, that one batched call may hold: the
+# pair-batched sweeps of goursat.solve_pairs and the chunks of step
+# positions of lift._chen are sized to stay within it.
+_BATCH_VALUES = 1 << 19
 
 __all__ = [
     "ShapeMismatchError",
@@ -410,4 +416,6 @@ def index_to_word(index: int, d: int) -> Tuple[int, ...]:
 
 def all_words(d: int, m: int) -> Tuple[Tuple[int, ...], ...]:
     """Every word of length <= m in flat index order."""
-    return tuple(index_to_word(i, d) for i in range(tensor_dim(d, m)))
+    tensor_dim(d, m)   # raises on a bad alphabet size or degree
+    return tuple(word for length in range(m + 1)
+                 for word in itertools.product(range(1, d + 1), repeat=length))

@@ -14,7 +14,7 @@ from pabsig import (
     tensor_dim,
     unit,
 )
-from pabsig.tensors import _exp, _log, _mul
+from pabsig.tensors import _exp, _log, _mul, _offsets
 
 
 def rand_tensor(rng, d, m, scale=1.0):
@@ -127,6 +127,37 @@ def chen_loop(d, m, deltas):
         step[1:1 + d] = delta
         sig = _mul(d, m, sig, _exp(d, m, step))
     return sig
+
+
+def chen_steps(d, m, deltas, bounds):
+    """Signatures of consecutive runs of segments, as lift._chen gives
+    them, one step position at a time: at position s the runs still going
+    form a leading slice of the rows sorted longest first, and each is
+    multiplied by exp(delta) in place, top level first, by the fused Horner
+    step.  The reference that lift._chen must match bit for bit."""
+    offs = _offsets(d, m)
+    counts = np.diff(bounds)
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = bounds[:-1][order], counts[order]
+    scaled = deltas / np.arange(1, m + 1)[:, None, None]   # [k-1] = delta/k
+    # runs still going at each position s, and the segments they take there,
+    # position after position: one gather of as many rows as there are segments
+    lives = len(counts) - np.searchsorted(counts[::-1], np.arange(counts[0]), side="right")
+    steps = scaled[:, np.concatenate([starts[:live] + s for s, live in enumerate(lives)])]
+    sig = np.zeros((len(starts), offs[-1]))
+    sig[:, 0] = 1.0
+    levels = [sig[:, offs[n]:offs[n + 1]] for n in range(m + 1)]
+    for live, end in zip(lives.tolist(), np.cumsum(lives).tolist()):
+        step = steps[:, end - live:end]
+        for n in range(m, 0, -1):
+            acc = step[n - 1]
+            for j in range(1, n):
+                acc = ((acc + levels[j][:live])[:, :, None]
+                       * step[n - j - 1][:, None, :]).reshape(live, -1)
+            levels[n][:live] += acc
+    out = np.empty_like(sig)
+    out[order] = sig
+    return out
 
 
 def log_signature_rows(ts, partition, m):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,8 +23,16 @@ from pabsig import (
     thin_partition,
     unit,
 )
+from pabsig import lift as lift_module
 
-from helpers import chen_loop, line_series, log_signature_rows, rand_lie, rand_series
+from helpers import (
+    chen_loop,
+    chen_steps,
+    line_series,
+    log_signature_rows,
+    rand_lie,
+    rand_series,
+)
 
 
 def test_time_series_validation():
@@ -368,6 +377,45 @@ def test_lift_prefix_is_the_lower_degree_lift_bitwise(d):
             for m in range(1, top + 1):
                 prefix = full[:, :tensor_dim(d, m)]
                 assert prefix.tobytes() == lifts[m].tobytes(), (every, top, m)
+
+
+def test_chen_matches_per_step_loop_bitwise(monkeypatch):
+    # ragged runs in no order of length, runs of one segment among them, and
+    # increments of 0.0 and -0.0; budgets of 1, 7 and 50 values cut chunks
+    # inside runs, so runs end, and the count still going drops, mid-lift
+    rng = np.random.default_rng(70)
+    budgets = (1, 7, 50, lift_module._BATCH_VALUES)
+    for d in (1, 2, 3):
+        for m in range(1, 6):
+            for counts in ([1], [6], [1, 1, 1], [3, 1, 7, 2, 1, 4],
+                           rng.integers(1, 10, 5)):
+                bounds = np.concatenate([[0], np.cumsum(counts)])
+                deltas = rng.standard_normal((bounds[-1], d))
+                zeros = rng.random(deltas.shape)
+                deltas[zeros < 0.15] = 0.0
+                deltas[zeros > 0.85] = -0.0
+                want = chen_steps(d, m, deltas, bounds).tobytes()
+                for budget in budgets:
+                    monkeypatch.setattr(lift_module, "_BATCH_VALUES", budget)
+                    got = lift_module._chen(d, m, deltas, bounds)
+                    assert got.tobytes() == want, (d, m, list(counts), budget)
+
+
+def test_chen_peak_memory_does_not_grow_with_the_steps():
+    # one run at d=2, m=12: chunks of positions hold at most _BATCH_VALUES
+    # values of levels, so the peak is the same at 1024 and 4096 steps (up
+    # to a few hundred bytes of Python objects) and within a few budgets
+    peaks = []
+    for n in (1024, 4096):
+        deltas = np.random.default_rng(n).standard_normal((n, 2)) * 0.05
+        tracemalloc.start()
+        try:
+            lift_module._chen(2, 12, deltas, np.array([0, n]))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0], peaks
+    assert max(peaks) < 4 * lift_module._BATCH_VALUES * 8, peaks
 
 
 def test_lift_overflow_raises_numeric_error():
