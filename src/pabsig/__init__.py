@@ -3,7 +3,8 @@
 Paths are lifted to piecewise log-linear descriptions of a chosen degree;
 the kernel of two such paths solves a coupled hyperbolic PDE on the product
 of their partitions, discretized here with a predictor-corrector cell
-update.  The package also carries a direct truncated-signature oracle, a
+update, evaluated in an expanded form that is equal in exact arithmetic.
+The package also carries a direct truncated-signature oracle, a
 Brownian-motion convergence harness, and a small CLI (``pabsig --help``).
 """
 

@@ -160,6 +160,22 @@ def chen_steps(d, m, deltas, bounds):
     return out
 
 
+def predictor_corrector(u00, u01, u10, c, g=None, curv=None):
+    """The degree-m cell update as the four-point average is written: the
+    predictor A + f1, then A + (f1 + f2 + f3 + f4)/4, less (c/12)*curv.
+    goursat._corner evaluates the same update in closed form; this is its
+    reference."""
+    a = u10 + u01 - u00
+    f1, f2, f3 = u00 * c, u01 * c, u10 * c
+    if g is not None:
+        f1, f2, f3 = f1 + g[0], f2 + g[1], f3 + g[2]
+    f4 = (a + f1) * c
+    if g is not None:
+        f4 = f4 + g[3]
+    u = a + 0.25 * ((f1 + f4) + (f2 + f3))
+    return u if curv is None else u - (c / 12.0) * curv
+
+
 def log_signature_rows(ts, partition, m):
     """Interval log-signatures on a partition, one chen_loop per interval."""
     idx = [ts.locate(t) for t in partition]

@@ -330,6 +330,19 @@ def test_solve_order1_examples():
     assert sol.state.u.tolist() == [[1.0]]
 
 
+def test_single_cells_are_exact():
+    # one cell from unit corners gives (1 + c/2)^2, and every operation of
+    # the closed form is exact at these c: the scalar sweep, the coupled
+    # sweep and _corner give the same value
+    for c, want in ((1.0, 2.25), (0.5, 1.5625), (-2.0, 0.0), (4.0, 9.0)):
+        assert goursat._corner(1.0, 1.0, 1.0, c) == want
+        assert solve_order1([[c, 0.0]], [[1.0, 0.0]]).value == want
+        px = single_segment_pab([c, 0.0], 1)
+        py = single_segment_pab([1.0, 0.0], 1)
+        assert solve(px, py, keep_state=True).value == want
+        assert manual_sweep(px, py).u[1, 1] == want
+
+
 def repeats(X):
     """repeats[k]: increment k equals increment k-1 up to relative 1e-12."""
     out = [False]
@@ -340,8 +353,9 @@ def repeats(X):
 
 
 def four_point_sweep(X, Y, curvature=False):
-    """Row-major degree-1 recursion with the plain 4-point cell average and,
-    with curvature, the -(c/12)(D_s + D_t) term on cells whose x or y
+    """Row-major degree-1 recursion with the plain 4-point cell average in
+    closed form, (s - u00) + h(s + h u00) with s = u10 + u01 and h = c/2,
+    and, with curvature, the -(c/12)(D_s + D_t) term on cells whose x or y
     increment repeats its predecessor."""
     c = X @ Y.T
     rep_x = repeats(X) if curvature else [False] * len(X)
@@ -349,12 +363,9 @@ def four_point_sweep(X, Y, curvature=False):
     u = np.ones((len(X) + 1, len(Y) + 1))
     for i in range(len(X)):
         for j in range(len(Y)):
-            a = u[i + 1, j] + u[i, j + 1] - u[i, j]
-            f1 = u[i, j] * c[i, j]
-            f2 = u[i, j + 1] * c[i, j]
-            f3 = u[i + 1, j] * c[i, j]
-            f4 = (a + f1) * c[i, j]
-            u[i + 1, j + 1] = a + 0.25 * ((f1 + f4) + (f2 + f3))
+            s = u[i + 1, j] + u[i, j + 1]
+            h = 0.5 * c[i, j]
+            u[i + 1, j + 1] = (s - u[i, j]) + h * (s + h * u[i, j])
             if rep_x[i] or rep_y[j]:
                 ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] else 0.0
                 dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] else 0.0

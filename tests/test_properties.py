@@ -24,7 +24,7 @@ from pabsig import (  # noqa: E402
 from pabsig.goursat import _corner, _weights  # noqa: E402
 from pabsig.tensors import _mul  # noqa: E402
 
-from helpers import bracket, level_one, pad_pab, refine_pab  # noqa: E402
+from helpers import bracket, level_one, pad_pab, predictor_corrector, refine_pab  # noqa: E402
 
 # derandomized, so every run tries the same examples
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40,
@@ -152,6 +152,28 @@ def test_corner_on_arrays_matches_each_cell_bitwise(batch):
         assert bits(one) == bits(got[k])
 
 
+def corner_scale(u00, u01, u10, c, g, curv_abs):
+    """The predictor-corrector average on absolute values: each term of the
+    cell update is at most this, so rounding is a few ulps of it."""
+    ag = (np.zeros_like(c),) * 4 if g is None else tuple(np.abs(x) for x in g)
+    a = np.abs(u00) + np.abs(u01) + np.abs(u10)
+    f1, f2, f3 = (np.abs(u * c) + gk for u, gk in zip((u00, u01, u10), ag))
+    f4 = (a + f1) * np.abs(c) + ag[3]
+    return a + 0.25 * (f1 + f2 + f3 + f4) + np.abs(c) / 12.0 * curv_abs
+
+
+@PROPERTY
+@given(cell_batches())
+def test_corner_matches_the_predictor_corrector_average(batch):
+    # _corner evaluates the four-point average in closed form, which is
+    # the same update in exact arithmetic and rounds within a few ulps
+    (u00, u01, u10, c), g, curv = batch
+    got = _corner(u00, u01, u10, c, g, curv)
+    want = predictor_corrector(u00, u01, u10, c, g, curv)
+    scale = corner_scale(u00, u01, u10, c, g, 0.0 if curv is None else np.abs(curv))
+    assert (np.abs(got - want) <= 8 * np.finfo(float).eps * scale).all()
+
+
 @st.composite
 def affine_cells(draw):
     n = draw(st.integers(1, 8))
@@ -179,12 +201,7 @@ def test_corner_is_affine_in_u10(cells):
     beta = _corner(u00, u01, 0.0, c, g, rest)
     want = _corner(u00, u01, u10, c, g, curv)
     # rounding is bounded by a few ulps of the sum of absolute terms
-    ag = (np.zeros_like(c),) * 4 if g is None else tuple(np.abs(x) for x in g)
-    a = np.abs(u00) + np.abs(u01) + np.abs(u10)
-    f1, f2, f3 = (np.abs(u * c) + gk for u, gk in zip((u00, u01, u10), ag))
-    f4 = (a + f1) * np.abs(c) + ag[3]
-    curv_abs = np.abs(u10) + np.abs(ds_rest) + np.abs(dt)
-    scale = a + 0.25 * (f1 + f2 + f3 + f4) + np.abs(c) / 12.0 * curv_abs
+    scale = corner_scale(u00, u01, u10, c, g, np.abs(u10) + np.abs(ds_rest) + np.abs(dt))
     err = np.abs(alpha * u10 + beta - want)
     assert (err <= 8 * np.finfo(float).eps * scale).all()
     # the split of the row sweep: weights once per block of rows from c
