@@ -44,7 +44,7 @@ class _ParseFailure(Exception):
 
 def _read_series(path: str) -> TimeSeries:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
     data = _parse_rows(path, text)
@@ -169,7 +169,7 @@ def _load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
-            raw = Path(args.config).read_text(encoding="utf-8")
+            raw = Path(args.config).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise _ParseFailure(f"cannot read {args.config}: {exc}")
         try:

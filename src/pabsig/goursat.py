@@ -543,7 +543,7 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
     gated = bool(rep_x.any() or rep_y.any())
-    before, u0, u1, new = np.ones((4, B, nx + 2))
+    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=c.dtype)
     for p in range(nx + ny - 1):
         lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
         cells = slice(lo + 1, hi + 1)

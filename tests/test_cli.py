@@ -70,6 +70,20 @@ def test_kernel_value_matches_api(tmp_path, capsys):
     assert got == want
 
 
+def test_kernel_accepts_a_byte_order_mark(tmp_path, capsys):
+    rng = np.random.default_rng(71)
+    times = np.linspace(0.0, 1.0, 7)
+    x, y, bom = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "bom.csv"
+    write_series(x, times, rng.standard_normal((7, 2)).cumsum(axis=0) * 0.4)
+    write_series(y, times, rng.standard_normal((7, 2)).cumsum(axis=0) * 0.4)
+    bom.write_bytes(b"\xef\xbb\xbf" + x.read_bytes())
+    outs = []
+    for first in (x, bom):
+        assert main(["kernel", str(first), str(y), "--degree", "2", "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_kernel_csv_output_round_trips(tmp_path, capsys):
     x = tmp_path / "x.csv"
     line_csv(x, [1.0, 0.0])
@@ -344,6 +358,17 @@ def test_convergence_json(tmp_path, capsys):
         (1, 4), (1, 8), (2, 4), (2, 8)
     ]
     assert all(r["pairs"] == 2 for r in doc)
+
+
+def test_convergence_config_accepts_a_byte_order_mark(tmp_path, capsys):
+    cfg = small_config(tmp_path)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    outs = []
+    for path in (cfg, bom):
+        assert main(["convergence", "--config", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_convergence_config_failures(tmp_path, capsys):

@@ -7,7 +7,8 @@ line that holds part of a Python token other than a comment, and is not
 part of a docstring (the leading string of a module, class or function),
 so blank lines, comment lines and docstrings do not count.  A statement
 split over several lines counts each of them.  This is the count that
-CHANGES.md and ROADMAP.md quote for src/pabsig.
+CHANGES.md and ROADMAP.md quote for src/pabsig, and with DIR = tools for
+tools/.
 """
 
 import ast

@@ -5,12 +5,13 @@
 For each lift shape, times lift._lifted (the batched signature, then the
 logarithm where the caller takes it, then the finiteness check) twice: as
 it is, and with tests/helpers.chen_steps, the lift one step position at a
-time, bound in place of lift._chen.  A round takes the best of N timings
-of each, alternating which goes first; each timing repeats the lift
-enough times to last about 20 ms.  The script prints, per shape, the
-median over the rounds of both best times and the median [quartiles]
-of the time ratio, level-by-level over per-position, so a ratio below 1
-is a gain.  Every round first checks that both give the same bits.
+time, bound in place of lift._chen.  tools/abtime.compare times them: a
+round takes the best of N timings of each, alternating which goes first;
+each timing repeats the lift enough times to last about 20 ms.  The
+script prints, per shape, the median over the rounds of both best times
+and the median [quartiles] of the time ratio, level-by-level over
+per-position, so a ratio below 1 is a gain.  Every round first checks
+that both give the same bits.
 
 BLAS and OpenMP run on one thread.  The shapes are those of the lifts of
 the four perfbench workloads, plus two long one-run signatures of the
@@ -28,21 +29,13 @@ Increments are seeded Gaussian steps of scale 0.05.
 """
 
 import argparse
-import os
 import sys
-import time
-from pathlib import Path
 
-for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"
+import abtime  # before numpy: one BLAS thread, src/ and tests/ on sys.path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-import numpy as np  # noqa: E402
-
-from helpers import chen_steps  # noqa: E402
-from pabsig import lift  # noqa: E402
+import numpy as np
+from helpers import chen_steps
+from pabsig import lift
 
 # name: (d, m, segments, segments per interval, logarithm taken)
 SHAPES = {
@@ -66,44 +59,23 @@ def _inputs(d, segments, every, seed=0):
 
 def _lift(chen, d, m, deltas, bounds, log):
     """lift._lifted with `chen` bound as lift._chen."""
-    kept = lift._chen
-    lift._chen = chen
-    try:
+    with abtime.bound(lift, "_chen", chen):
         return lift._lifted(d, m, deltas, bounds, log)
-    finally:
-        lift._chen = kept
-
-
-def _best(run, calls, best):
-    times = []
-    for _ in range(best):
-        start = time.perf_counter()
-        for _ in range(calls):
-            run()
-        times.append((time.perf_counter() - start) / calls)
-    return min(times)
 
 
 def time_shape(name, best, rounds):
     d, m, segments, every, log = SHAPES[name]
     deltas, bounds = _inputs(d, segments, every)
-    new = lift._chen
-    runs = {which: (lambda chen=chen: _lift(chen, d, m, deltas, bounds, log))
-            for which, chen in (("new", new), ("old", chen_steps))}
-    once = time.perf_counter()
-    runs["old"]()
-    calls = max(1, int(0.02 / max(time.perf_counter() - once, 1e-6)))
-    times = {"new": [], "old": []}
-    for r in range(rounds):
-        if runs["new"]().tobytes() != runs["old"]().tobytes():
+    new, old = (lambda chen=chen: _lift(chen, d, m, deltas, bounds, log)
+                for chen in (lift._chen, chen_steps))
+
+    def check():
+        if new().tobytes() != old().tobytes():
             raise SystemExit(f"{name}: the two lifts differ")
-        for which in ("new", "old") if r % 2 == 0 else ("old", "new"):
-            times[which].append(_best(runs[which], calls, best))
-    ratios = np.divide(times["new"], times["old"])
-    q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+
+    t_new, t_old, (med, q1, q3) = abtime.compare(new, old, best, rounds, check)
     print(f"{name:15} d={d} m={m:<2} {segments:5} segs /{every:<5}"
-          f" {np.median(times['old']) * 1e3:9.3f} ms"
-          f" {np.median(times['new']) * 1e3:9.3f} ms"
+          f" {t_old * 1e3:9.3f} ms {t_new * 1e3:9.3f} ms"
           f"   {med:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
 
 
