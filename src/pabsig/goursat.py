@@ -29,8 +29,12 @@ twice, once through the predictor.  So the update is, in exact arithmetic,
     u[i+1,j+1] = (s - u[i,j]) + h*(s + h*u[i,j])
                  + ((1 + c)*g_1 + g_2 + g_3 + g_4)/4 - <x,y>/12 * (D_s + D_t),
 
-which is the form _corner evaluates.  It rounds differently from the
-four-point sum by a few ulps of the terms.
+which is the form _corner evaluates.  It takes the half coefficient h,
+which each caller forms once: step() per cell, the coupled sweep per
+block of rows and the scalar sweep per block of anti-diagonals.  Since
+h + h and h/6 are exactly c and c/12 (barring subnormal c), taking h
+changes no bits.  The form rounds differently from the four-point sum by
+a few ulps of the terms.
 
 The last term removes the O(h^2) error -(c/12)(u_ss + u_tt) that the
 four-point (trapezoid) rule leaves on a cell whose integrand is c*u, i.e.
@@ -82,9 +86,13 @@ matrices P_l of the y increments, which outgrow k: 27 values per column
 against k = 13 at d=3, m=3, and 351 against 40 at d=3, m=4.  Only the
 (B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
 coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
-The scalar sweep keeps the (B, N_x, N_y) cell coefficients, which its
-skewed view shares, and four anti-diagonals of u.  The full grids exist
-only when asked for.
+The scalar sweep keeps no N_x x N_y array: it holds a block of the half
+coefficients of K <= 64 anti-diagonals (N_y/5 of them, or enough for 256
+coefficients on small shapes), (B, K, <= N_x), with a
+product temporary and numpy's two iteration buffers of at most its size;
+the halved x increments and a reversed, zero-padded copy of the y
+increments, O((N_x + N_y) d) values; and four anti-diagonals of u.  The
+full grids exist only when asked for.
 """
 
 from __future__ import annotations
@@ -188,11 +196,13 @@ def _gate_flags(level1: np.ndarray, higher: np.ndarray):
     return pure, repeat
 
 
-def _corner(u00, u01, u10, c, g=None, curv=None):
-    """u at the new corner (i+1, j+1) of cells with coefficient c = <x_i, y_j>.
+def _corner(u00, u01, u10, h, g=None, curv=None):
+    """u at the new corner (i+1, j+1) of cells with h = c/2, c = <x_i, y_j>.
 
-    The one cell update, elementwise on floats or on arrays of cells.  u00,
-    u01, u10 are u at the corners (i, j), (i, j+1), (i+1, j); g holds the
+    The one cell update, elementwise on floats or on arrays of cells.  It
+    takes the half coefficient h, which the callers form once, so that no
+    call halves c again.  u00, u01, u10 are u at the corners (i, j),
+    (i, j+1), (i+1, j); g holds the
     adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> there and at the new
     corner, or None at degree 1, where they vanish; curv is the fired
     D_s + D_t, or None where no cell fires.
@@ -201,40 +211,75 @@ def _corner(u00, u01, u10, c, g=None, curv=None):
     a = u10 + u01 - u00, f1..f3 = c*u00 + g[0], c*u01 + g[1], c*u10 + g[2]
     and f4 = c*(a + f1) + g[3], is linear in its inputs.  Its u part sums
     to c*(u00 + u01 + u10) + c*a + c^2*u00 = 2c*s + c^2*u00 with
-    s = u10 + u01, and g[0] enters twice, once through f4.  So with
-    h = c/2 it is, in exact arithmetic,
+    s = u10 + u01, and g[0] enters twice, once through f4.  So it is, in
+    exact arithmetic,
 
         u' = (s - u00) + h*(s + h*u00)
-             + ((1 + c)*g[0] + g[1] + g[2] + g[3])/4 - (c/12)*curv,
+             + ((1 + h + h)*g[0] + g[1] + g[2] + g[3])/4 - (h/6)*curv,
 
-    which is the form evaluated here: 7 array operations at degree 1.
+    which is the form evaluated here: 6 array operations at degree 1.
+    h + h and h/6 are exactly c and c/12 unless c is subnormal.
     """
     s = u10 + u01
-    h = 0.5 * c
     u = (s - u00) + h * (s + h * u00)
     if g is not None:
-        u = u + 0.25 * (((1.0 + c) * g[0] + g[1]) + (g[2] + g[3]))
-    return u if curv is None else u - (c / 12.0) * curv
+        u = u + 0.25 * (((1.0 + (h + h)) * g[0] + g[1]) + (g[2] + g[3]))
+    return u if curv is None else u - (h / 6.0) * curv
 
 
-def _weights(c, fire_s=None):
+def _weights(h, fire_s=None):
     """Weights alpha, w01, w00, wg0 of u10, u01, u00 and g[0] in _corner.
 
     _corner is linear in its corners, adjoint terms and curvature terms,
-    and the weights depend only on c, so up to rounding
-    _corner(u00, u01, u10, c, g, curv) is alpha u10 + w01 u01 + w00 u00
-    + wg0 g[0] + (g[1] + g[2] + g[3])/4 + _corner(0, 0, 0, c, None, rest),
-    where rest is curv without the u10 of D_s in the cells fire_s marks.
-    Each weight is _corner on basis inputs.
+    and the weights depend only on the half coefficient h = c/2, so up to
+    rounding _corner(u00, u01, u10, h, g, curv) is alpha u10 + w01 u01
+    + w00 u00 + wg0 g[0] + (g[1] + g[2] + g[3])/4
+    + _corner(0, 0, 0, h, None, rest), where rest is curv without the u10
+    of D_s in the cells fire_s marks.  Each weight is _corner on basis
+    inputs, on the block of h that the coupled sweep halves once.
     """
-    return (_corner(0.0, 0.0, 1.0, c, None, fire_s), _corner(0.0, 1.0, 0.0, c),
-            _corner(1.0, 0.0, 0.0, c), _corner(0.0, 0.0, 0.0, c, (1.0, 0.0, 0.0, 0.0)))
+    return (_corner(0.0, 0.0, 1.0, h, None, fire_s), _corner(0.0, 1.0, 0.0, h),
+            _corner(1.0, 0.0, 0.0, h), _corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0)))
+
+
+# Most anti-diagonals per block of cell coefficients in the scalar sweep.
+# At 1024^2 cells (one BLAS thread), blocks of 64 ran 0.80x the time of the
+# sweep over the whole coefficient grid, blocks of 16 0.92x, and blocks of
+# 128, which hold twice as much, 0.82x.
+_DIAGONALS = 64
+
+
+def _diagonal_block(nx: int, ny: int) -> int:
+    """Anti-diagonals K the scalar sweep builds at once on N_x x N_y cells.
+
+    A block spans at most N_x x indices, and it is held with three
+    temporaries of at most its size: the product of the next coordinate and
+    numpy's two iteration buffers of the windowed multiply.  So K <= N_y/5
+    keeps the four below 4/5 of the N_x x N_y coefficient grid, and shapes
+    from 64 x 64 cells up peak lower than the sweep did when it held that
+    grid.  Below that, K grows until a block holds 256 coefficients: blocks
+    of 1-6 anti-diagonals ran 1.1-1.4x the time of the grid sweep at 8^2 to
+    32^2 cells, and four blocks of 256 add 8 KiB to a fixed working set of
+    about that size there.  K never passes the N_x + N_y - 1 anti-diagonals
+    of the grid.
+    """
+    wanted = max(ny // 5, 256 // nx)
+    return max(1, min(_DIAGONALS, nx + ny - 1, wanted))
 
 
 def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     """Values one pair of the shape adds to a sweep call's working set.
 
-    The scalar sweep holds the N_x x N_y cell coefficients.  In the
+    The scalar sweep holds 2 K w values of the block of K anti-diagonals,
+    w = min(N_x, N_y + K - 1) x indices wide, and of its product
+    temporary; numpy's two iteration buffers of the windowed multiply, each
+    the smaller of the block and np.getbufsize(); d (K + w) of the padding
+    of the y copy; and 2d + 12 per interval of either path: d + 1 of the
+    stacked increments, d of the halved x or the padded y copy, 4 of the u
+    diagonals and 7 for the gate tests' temporaries and the fixed numpy
+    and Python overhead.  The buffers are per call, not per pair, so this
+    over-counts batches.  Measured single-pair peaks are 0.6-0.93 of this
+    at d = 1-5 on 64-1024 cells a side, 512 x 64 and 64 x 512.  In the
     coupled sweep every per-column array of the row step but the product
     matrices P_l has k = N(d, m-1) coefficients, and only V, the
     increments and the weight block are sized by N (see the module
@@ -249,7 +294,11 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     this at d = 1-3, m = 2-4 on 64-256 cells a side.
     """
     if m == 1:
-        return nx * ny
+        K = _diagonal_block(nx, ny)
+        width = min(nx, ny + K - 1)
+        block = K * width
+        buffers = 2 * min(block, np.getbufsize())
+        return 2 * block + buffers + (2 * d + 12) * (nx + ny) + d * (K + width)
     n, k = tensor_dim(d, m), tensor_dim(d, m - 1)
     offs = _offsets(d, m)
     prods = sum((offs[l] - 1) * d**l for l in range(2, m))
@@ -317,7 +366,7 @@ def step(state: GoursatState, i: int, j: int) -> None:
     pure_y, rep_y = _gate_flags(Y[:, 1:1 + d], Y[:, 1 + d:])
     ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] and pure_y[j] else 0.0
     dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] and pure_x[i] else 0.0
-    u[i + 1, j + 1] = _corner(u[i, j], u[i, j + 1], u[i + 1, j], c, g, ds + dt)
+    u[i + 1, j + 1] = _corner(u[i, j], u[i, j + 1], u[i + 1, j], 0.5 * c, g, ds + dt)
 
 
 def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
@@ -453,11 +502,12 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         t = i % block                           # row i is row t of its block
         if t == 0:
             alpha_blk = w01 = w00 = wg0 = None  # free the last block first: peak memory
-            c_blk = X[:, i:i + block] @ Yt
+            h_blk = X[:, i:i + block] @ Yt
+            h_blk *= 0.5
             fire_s = None
             if any(row_fires[i:i + block]):
                 fire_s = rep_x[:, i:i + block, None] & pure_y[:, None]
-            alpha_blk, w01, w00, wg0 = _weights(c_blk, fire_s)
+            alpha_blk, w01, w00, wg0 = _weights(h_blk, fire_s)
         k0, k1 = i % 2, 1 - i % 2               # rows i and i+1 in the buffer
         old, new = rows[k0], rows[k1]
         _operator(d, m, X[:, i], v)
@@ -492,7 +542,7 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
             dt[:, 1:] = (u01[:, 1:] + u00[:, :-1]) - 2.0 * u00[:, 1:]
             curv = (np.where(fire_s[:, t], u_prev2[:, :-1] - 2.0 * u00, 0.0)
                     + np.where(fire_t, dt, 0.0))
-            beta += _corner(0.0, 0.0, 0.0, c_blk[:, t], None, curv)
+            beta += _corner(0.0, 0.0, 0.0, h_blk[:, t], None, curv)
 
         u_rows = []
         for alpha_b, beta_b in zip(alpha_blk[:, t].tolist(), beta.tolist()):
@@ -522,30 +572,52 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     X and Y hold level-1 increments, shape (B, N_x, d) and (B, N_y, d).
     Each anti-diagonal of cells is one _corner call without adjoint terms;
     its cells depend only on earlier anti-diagonals, so the result equals
-    the row-major sweep.  The coefficients of anti-diagonal p are one basic
-    slice of a read-only skewed view of c, which shares c's buffer and so
-    adds no memory.  Only the last four anti-diagonals of corners are kept,
-    as four (B, N_x+2) buffers indexed by 1 + the x index of the corner;
-    boundary corners are never written and stay 1.  When no interval of any
-    pair repeats its neighbour (sampled Brownian paths, say), no cell can
-    fire and the per-diagonal gate tests are skipped.  With a grid (B = 1,
-    shape (N_x+1, N_y+1)) every corner is also written there.
+    the row-major sweep.  No N_x x N_y array is formed: the half
+    coefficients h = <x_i, y_j>/2 of K consecutive anti-diagonals
+    (_diagonal_block) are built at once, over the x indices their cells
+    span, as one contiguous block.  The block is one multiply-add per
+    coordinate of the halved x increments by a window view of a reversed,
+    zero-padded copy of the y increments, summed in the order k = 0..d-1,
+    so a pair gets the same bits alone and in any batch.  Only the last
+    four anti-diagonals of corners are kept, as four (B, N_x+2) buffers
+    indexed by 1 + the x index of the corner; boundary corners are never
+    written and stay 1.  When no interval of any pair repeats its
+    neighbour (sampled Brownian paths, say), no cell can fire and the
+    per-diagonal gate tests are skipped.  The sweep runs in the dtype of
+    the increments.  With a grid (B = 1, shape (N_x+1, N_y+1)) every
+    corner is also written there.
     """
-    c = np.ascontiguousarray(X @ Y.transpose(0, 2, 1))
-    B, nx, ny = c.shape
-    # cs[:, p, i] is c[:, i, p - i].  c is C-contiguous, so within a pair
-    # c[i, p - i] sits at flat offset p + i*(ny - 1), and the largest offset,
-    # nx*ny - 1 (p = nx+ny-2, i = nx-1), stays inside the buffer.
-    size = c.itemsize
-    cs = np.lib.stride_tricks.as_strided(
-        c, (B, max(nx + ny - 1, 0), nx), (c.strides[0], size, size * (ny - 1)),
-        writeable=False)
+    B, nx, d = X.shape
+    ny = Y.shape[1]
+    if not (nx and ny):
+        return np.ones(B, dtype=X.dtype)
+    K = _diagonal_block(nx, ny)
+    width = min(nx, ny + K - 1)                # x indices a block spans at most
+    # xh[:, k, i] is x_i[k]/2, and yr[:, k, K + ny - 2 - j] is y_j[k], with
+    # K - 1 zeros before and width - 1 after: cell (i, p - i) reads
+    # yr[:, k, K + ny - 2 - p + i], which runs forwards along i
+    xh = 0.5 * np.ascontiguousarray(X.transpose(0, 2, 1))
+    yr = np.zeros((B, d, ny + K - 2 + width), dtype=Y.dtype)
+    yr[..., K - 1:K - 1 + ny] = Y[:, ::-1].transpose(0, 2, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(yr, width, axis=2)
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
     gated = bool(rep_x.any() or rep_y.any())
-    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=c.dtype)
+    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=X.dtype)
+    last_p = -1                                 # the last anti-diagonal of the block
     for p in range(nx + ny - 1):
         lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
+        if p > last_p:
+            # anti-diagonals p..last_p over x indices first..last-1, last one
+            # first: hb[:, last_p - q, i - first] is h of cell (i, q - i)
+            hb = None                           # free the last block first: peak memory
+            last_p = min(p + K, nx + ny - 1) - 1
+            first, last = lo, min(nx - 1, last_p) + 1
+            start = K + ny - 2 - last_p + first
+            win = windows[:, :, start:start + last_p - p + 1, :last - first]
+            hb = xh[:, 0, None, first:last] * win[:, 0]
+            for k in range(1, d):
+                hb += xh[:, k, None, first:last] * win[:, k]
         cells = slice(lo + 1, hi + 1)
         up = slice(lo + 2, hi + 2)
         u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
@@ -556,7 +628,8 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
             if fire_s.any() or fire_t.any():
                 curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
                         + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
-        new[:, up] = _corner(u00, u01, u10, cs[:, p, lo:hi], curv=curv)
+        new[:, up] = _corner(u00, u01, u10, hb[:, last_p - p, lo - first:hi - first],
+                             curv=curv)
         if grid is not None:
             ii = np.arange(lo, hi)
             grid[ii + 1, p - ii + 1] = new[0, up]

@@ -14,6 +14,7 @@ from pabsig import (
     tensor_dim,
     unit,
 )
+from pabsig import goursat
 from pabsig.tensors import _exp, _log, _mul, _offsets
 
 
@@ -160,11 +161,12 @@ def chen_steps(d, m, deltas, bounds):
     return out
 
 
-def predictor_corrector(u00, u01, u10, c, g=None, curv=None):
+def predictor_corrector(u00, u01, u10, h, g=None, curv=None):
     """The degree-m cell update as the four-point average is written: the
     predictor A + f1, then A + (f1 + f2 + f3 + f4)/4, less (c/12)*curv.
-    goursat._corner evaluates the same update in closed form; this is its
-    reference."""
+    It takes the half coefficient h = c/2, as goursat._corner does, which
+    evaluates the same update in closed form; this is its reference."""
+    c = h + h
     a = u10 + u01 - u00
     f1, f2, f3 = u00 * c, u01 * c, u10 * c
     if g is not None:
@@ -174,6 +176,44 @@ def predictor_corrector(u00, u01, u10, c, g=None, curv=None):
         f4 = f4 + g[3]
     u = a + 0.25 * ((f1 + f4) + (f2 + f3))
     return u if curv is None else u - (c / 12.0) * curv
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def skewed_sweep_order1(X, Y, grid=None):
+    """goursat._sweep_order1 as it was before its grid-free form: the full
+    (B, N_x, N_y) grid of cell coefficients X @ Y^T, read one anti-diagonal
+    at a time through a read-only skewed view of its buffer and halved per
+    anti-diagonal.  The old form that tools/time_sweep.py times against."""
+    c = np.ascontiguousarray(X @ Y.transpose(0, 2, 1))
+    B, nx, ny = c.shape
+    # cs[:, p, i] is c[:, i, p - i].  c is C-contiguous, so within a pair
+    # c[i, p - i] sits at flat offset p + i*(ny - 1), and the largest offset,
+    # nx*ny - 1 (p = nx+ny-2, i = nx-1), stays inside the buffer.
+    size = c.itemsize
+    cs = np.lib.stride_tricks.as_strided(
+        c, (B, max(nx + ny - 1, 0), nx), (c.strides[0], size, size * (ny - 1)),
+        writeable=False)
+    _, rep_x = goursat._gate_flags(X, X[..., :0])
+    _, rep_y = goursat._gate_flags(Y, Y[..., :0])
+    gated = bool(rep_x.any() or rep_y.any())
+    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=c.dtype)
+    for p in range(nx + ny - 1):
+        lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
+        cells = slice(lo + 1, hi + 1)
+        up = slice(lo + 2, hi + 2)
+        u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
+        curv = None
+        if gated:
+            fire_s, fire_t = rep_x[:, lo:hi], rep_y[:, p - hi + 1:p - lo + 1][:, ::-1]
+            if fire_s.any() or fire_t.any():
+                curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
+                        + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
+        new[:, up] = goursat._corner(u00, u01, u10, 0.5 * cs[:, p, lo:hi], curv=curv)
+        if grid is not None:
+            ii = np.arange(lo, hi)
+            grid[ii + 1, p - ii + 1] = new[0, up]
+        before, u0, u1, new = u0, u1, new, before
+    return u1[:, nx + 1]
 
 
 def log_signature_rows(ts, partition, m):

@@ -32,6 +32,7 @@ from helpers import (
     rand_series,
     refine_pab,
     series_with_variation,
+    skewed_sweep_order1,
 )
 
 
@@ -333,9 +334,9 @@ def test_solve_order1_examples():
 def test_single_cells_are_exact():
     # one cell from unit corners gives (1 + c/2)^2, and every operation of
     # the closed form is exact at these c: the scalar sweep, the coupled
-    # sweep and _corner give the same value
+    # sweep and _corner, which takes h = c/2, give the same value
     for c, want in ((1.0, 2.25), (0.5, 1.5625), (-2.0, 0.0), (4.0, 9.0)):
-        assert goursat._corner(1.0, 1.0, 1.0, c) == want
+        assert goursat._corner(1.0, 1.0, 1.0, 0.5 * c) == want
         assert solve_order1([[c, 0.0]], [[1.0, 0.0]]).value == want
         px = single_segment_pab([c, 0.0], 1)
         py = single_segment_pab([1.0, 0.0], 1)
@@ -356,8 +357,12 @@ def four_point_sweep(X, Y, curvature=False):
     """Row-major degree-1 recursion with the plain 4-point cell average in
     closed form, (s - u00) + h(s + h u00) with s = u10 + u01 and h = c/2,
     and, with curvature, the -(c/12)(D_s + D_t) term on cells whose x or y
-    increment repeats its predecessor."""
-    c = X @ Y.T
+    increment repeats its predecessor.  The cell coefficients
+    c[i, j] = <x_i, y_j> are summed coordinate by coordinate, k = 0..d-1,
+    the order the scalar sweep adds them in."""
+    c = X[:, None, 0] * Y[None, :, 0]
+    for k in range(1, X.shape[1]):
+        c = c + X[:, None, k] * Y[None, :, k]
     rep_x = repeats(X) if curvature else [False] * len(X)
     rep_y = repeats(Y) if curvature else [False] * len(Y)
     u = np.ones((len(X) + 1, len(Y) + 1))
@@ -382,30 +387,62 @@ def test_solve_order1_matches_row_major_reference():
     np.testing.assert_array_equal(got.state.u, four_point_sweep(X, Y))
 
 
-def test_solve_order1_grids_match_row_major_reference_bitwise():
-    # the scalar sweep reads anti-diagonals of cell coefficients through a
-    # skewed view; every shape, including single rows and columns, must
-    # give the row-major grid bit for bit, with and without repeats
+def order1_cases():
+    """Increment pairs of the scalar sweep's bitwise tests: single rows and
+    columns and small grids, each with and without runs of equal
+    increments, where the correction fires, then a straight line against
+    a kinked path sampled along its pieces, both ways round."""
     rng = np.random.default_rng(34)
     for nx, ny in ((1, 1), (1, 9), (9, 1), (2, 9), (9, 2), (7, 5)):
         X = rng.standard_normal((nx, 2)) * 0.4
         Y = rng.standard_normal((ny, 2)) * 0.4
-        # runs of equal increments, where the correction fires
         Xr = np.repeat(X[:(nx + 2) // 3], 3, axis=0)[:nx]
         Yr = np.repeat(Y[:(ny + 1) // 2], 2, axis=0)[:ny]
-        for a, b in ((X, Y), (Xr, Yr), (X, Yr), (Xr, Y)):
-            got = solve_order1(a, b, keep_state=True)
-            want = four_point_sweep(a, b, curvature=True)
-            assert same_bits(got.state.u, want)
-            assert same_bits(got.value, want[-1, -1])
-            assert same_bits(solve_order1(a, b).value, want[-1, -1])
-    # a straight line against a kinked path sampled along its pieces
+        yield from ((X, Y), (Xr, Yr), (X, Yr), (Xr, Y))
     X = line_series([1.0, 0.5], 8).increments()
     Y = series_with_variation(rng, 2, 3, 1.2, n_per_segment=4).increments()
+    yield from ((X, Y), (Y, X))
+
+
+def test_solve_order1_grids_match_row_major_reference_bitwise():
+    # the scalar sweep builds blocks of anti-diagonals of cell coefficients;
+    # every shape, including single rows and columns, must give the
+    # row-major grid bit for bit, with and without repeats
+    cases = list(order1_cases())
+    for a, b in cases[:-2]:
+        got = solve_order1(a, b, keep_state=True)
+        want = four_point_sweep(a, b, curvature=True)
+        assert same_bits(got.state.u, want)
+        assert same_bits(got.value, want[-1, -1])
+        assert same_bits(solve_order1(a, b).value, want[-1, -1])
+    # a straight line against a kinked path sampled along its pieces
+    (X, Y), _ = cases[-2:]
     want = four_point_sweep(X, Y, curvature=True)
     assert want[-1, -1] != four_point_sweep(X, Y)[-1, -1]
     for a, b, grid in ((X, Y, want), (Y, X, four_point_sweep(Y, X, curvature=True))):
         assert same_bits(solve_order1(a, b, keep_state=True).state.u, grid)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+def test_scalar_sweep_blocks_match_row_major_reference_bitwise(monkeypatch, K):
+    # blocks of K anti-diagonals end inside every shape above one cell; each
+    # must give the row-major grid and value bit for bit, alone and in a
+    # batch with the other repeat patterns of its shape
+    monkeypatch.setattr(goursat, "_diagonal_block", lambda nx, ny: K)
+    # at d = 3 the order of the coordinate sum shows in the bits
+    rng = np.random.default_rng(35)
+    wide = [(rng.standard_normal((nx, 3)) * 0.4, rng.standard_normal((ny, 3)) * 0.4)
+            for nx, ny in ((6, 7), (11, 3), (3, 11)) for _ in range(2)]
+    by_shape = {}
+    for a, b in [*order1_cases(), *wide]:
+        want = four_point_sweep(a, b, curvature=True)
+        assert same_bits(solve_order1(a, b, keep_state=True).state.u, want)
+        assert same_bits(solve_order1(a, b).value, want[-1, -1])
+        by_shape.setdefault((len(a), len(b)), []).append((a, b, want[-1, -1]))
+    for cases in by_shape.values():
+        got = goursat._sweep_order1(np.stack([a for a, _, _ in cases]),
+                                    np.stack([b for _, b, _ in cases]))
+        assert same_bits(got, [v for _, _, v in cases])
 
 
 def test_curvature_correction_fires_on_repeated_increments():
@@ -601,10 +638,11 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
                         batches.append((m, len(X))) or sweep(d, m, X, Y, state))
     monkeypatch.setattr(goursat, "_sweep_order1", lambda X, Y, grid=None:
                         batches.append((1, len(X))) or sweep_order1(X, Y, grid))
-    # per pair the budget counts 5 x 4 values at degree 1 and
-    # (8 x 3 + 10 x 7 + 32) x 6 + 2 x 3 x 7 = 798 at degree 2
-    # (N(2, 2) = 7 coefficients, 3 in each state row)
-    for budget, want in ((40, [(1, 1), (1, 2), (1, 2), (1, 2)] + [(2, 1)] * 7),
+    # per pair the budget counts 4 x 8 x 5 + (2 x 2 + 12) x 9 + 2 x (8 + 5)
+    # = 330 values at degree 1 (one block of all 8 anti-diagonals, 5 x
+    # indices wide) and (8 x 3 + 10 x 7 + 32) x 6 + 2 x 3 x 7 = 798 at
+    # degree 2 (N(2, 2) = 7 coefficients, 3 in each state row)
+    for budget, want in ((2 * 330, [(1, 1), (1, 2), (1, 2), (1, 2)] + [(2, 1)] * 7),
                          (3 * (16 * 6 * 7 + 2 * 7 * 7),
                           [(1, 7), (2, 1), (2, 2), (2, 2), (2, 2)])):
         monkeypatch.setattr(goursat, "_BATCH_VALUES", budget)
@@ -635,18 +673,21 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
 
 
 def test_pair_values_bound_single_pair_peaks():
-    # the chunk budget of a pair counts what the coupled sweep holds, the
-    # Python float lists of the u march included
+    # the chunk budget of a pair counts what the sweeps hold: the Python
+    # float lists of the coupled sweep's u march, and the scalar sweep's
+    # block of anti-diagonals with its temporaries
     rng = np.random.default_rng(97)
-    for d, m, cells in ((1, 2, 256), (1, 3, 256), (2, 2, 128), (3, 3, 64), (2, 4, 128)):
-        px, py = rand_pab(rng, d, m, cells, 0.1), rand_pab(rng, d, m, cells, 0.1)
+    for d, m, nx, ny in ((1, 2, 256, 256), (1, 3, 256, 256), (2, 2, 128, 128),
+                         (3, 3, 64, 64), (2, 4, 128, 128), (2, 1, 256, 256),
+                         (2, 1, 512, 64)):
+        px, py = rand_pab(rng, d, m, nx, 0.1), rand_pab(rng, d, m, ny, 0.1)
         tracemalloc.start()
         try:
             solve_pairs([px], [py])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * goursat._pair_values(d, m, cells, cells), (d, m, peak)
+        assert peak <= 8 * goursat._pair_values(d, m, nx, ny), (d, m, nx, ny, peak)
 
 
 def test_coupled_sweep_holds_no_grid_per_pair():
@@ -665,6 +706,39 @@ def test_coupled_sweep_holds_no_grid_per_pair():
         finally:
             tracemalloc.stop()
         assert peak < 8 * max(nx * ny, nx * 2 * n * n), (d, m, peak)
+
+
+def solve_pairs_peak(px, py):
+    """tracemalloc peak, in bytes, of solve_pairs on the one pair."""
+    tracemalloc.start()
+    try:
+        solve_pairs([px], [py])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scalar_sweep_holds_no_grid_per_pair(monkeypatch):
+    # the scalar sweep keeps blocks of anti-diagonals, never the grid of
+    # cell coefficients: from 128 x 128 cells on, one pair peaks lower than
+    # in the sweep over the whole grid, and on 1024 x 1024 cells below
+    # 2 MiB, a quarter of one N_x x N_y float64 grid
+    rng = np.random.default_rng(95)
+    for cells in (128, 256, 1024):
+        px, py = rand_pab(rng, 2, 1, cells, 0.1), rand_pab(rng, 2, 1, cells, 0.1)
+        peak = solve_pairs_peak(px, py)
+        if cells < 1024:
+            with monkeypatch.context() as patch:
+                patch.setattr(goursat, "_sweep_order1", skewed_sweep_order1)
+                assert peak < solve_pairs_peak(px, py), cells
+    assert peak < 2 * 1024 * 1024, peak
+    # no cells: no anti-diagonal, and u is 1 everywhere
+    for nx, ny in ((0, 0), (0, 3), (3, 0)):
+        X, Y = rng.standard_normal((nx, 2)), rng.standard_normal((ny, 2))
+        sol = solve_order1(X, Y, keep_state=True)
+        assert sol.value == 1.0 and solve_order1(X, Y).value == 1.0
+        assert same_bits(sol.state.u, np.ones((nx + 1, ny + 1)))
+        assert same_bits(goursat._sweep_order1(np.stack([X, X]), np.stack([Y, Y])), [1.0, 1.0])
 
 
 def test_solve_pairs_validation():

@@ -144,9 +144,10 @@ def bits(x):
 @given(cell_batches())
 def test_corner_on_arrays_matches_each_cell_bitwise(batch):
     (u00, u01, u10, c), g, curv = batch
-    got = _corner(u00, u01, u10, c, g, curv)
+    h = 0.5 * c
+    got = _corner(u00, u01, u10, h, g, curv)
     for k in range(len(c)):
-        one = _corner(u00[k], u01[k], u10[k], c[k],
+        one = _corner(u00[k], u01[k], u10[k], h[k],
                       None if g is None else tuple(gc[k] for gc in g),
                       None if curv is None else curv[k])
         assert bits(one) == bits(got[k])
@@ -168,8 +169,8 @@ def test_corner_matches_the_predictor_corrector_average(batch):
     # _corner evaluates the four-point average in closed form, which is
     # the same update in exact arithmetic and rounds within a few ulps
     (u00, u01, u10, c), g, curv = batch
-    got = _corner(u00, u01, u10, c, g, curv)
-    want = predictor_corrector(u00, u01, u10, c, g, curv)
+    got = _corner(u00, u01, u10, 0.5 * c, g, curv)
+    want = predictor_corrector(u00, u01, u10, 0.5 * c, g, curv)
     scale = corner_scale(u00, u01, u10, c, g, 0.0 if curv is None else np.abs(curv))
     assert (np.abs(got - want) <= 8 * np.finfo(float).eps * scale).all()
 
@@ -197,20 +198,21 @@ def test_corner_is_affine_in_u10(cells):
     if fire_s is not None or fire_t is not None:
         rest = np.where(s_on, ds_rest, 0.0) + np.where(t_on, dt, 0.0)
         curv = np.where(s_on, u10 + ds_rest, 0.0) + np.where(t_on, dt, 0.0)
-    alpha = _corner(0.0, 0.0, 1.0, c, None, fire_s)
-    beta = _corner(u00, u01, 0.0, c, g, rest)
-    want = _corner(u00, u01, u10, c, g, curv)
+    h = 0.5 * c
+    alpha = _corner(0.0, 0.0, 1.0, h, None, fire_s)
+    beta = _corner(u00, u01, 0.0, h, g, rest)
+    want = _corner(u00, u01, u10, h, g, curv)
     # rounding is bounded by a few ulps of the sum of absolute terms
     scale = corner_scale(u00, u01, u10, c, g, np.abs(u10) + np.abs(ds_rest) + np.abs(dt))
     err = np.abs(alpha * u10 + beta - want)
     assert (err <= 8 * np.finfo(float).eps * scale).all()
     # the split of the row sweep: weights once per block of rows from c
     # alone, then per row the adjoint terms and the fired curvature terms
-    alpha, w01, w00, wg0 = _weights(c, fire_s)
+    alpha, w01, w00, wg0 = _weights(h, fire_s)
     split = alpha * u10 + w01 * u01 + w00 * u00
     if g is not None:
         split = split + wg0 * g[0] + 0.25 * (g[1] + g[2] + g[3])
     if rest is not None:
-        split = split + _corner(0.0, 0.0, 0.0, c, None, rest)
+        split = split + _corner(0.0, 0.0, 0.0, h, None, rest)
     err = np.abs(split - want)
     assert (err <= 8 * np.finfo(float).eps * scale).all()

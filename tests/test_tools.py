@@ -1,8 +1,8 @@
 """The scripts in tools/, each run once on its smallest input.
 
 tools/time_lift.py and tools/time_sweep.py rebind private names of the
-package (lift._chen, goursat._corner) through tools/abtime.py, so a renamed
-name fails here.  Each script runs in a child process, since importing
+package (lift._chen, goursat._sweep_order1) through tools/abtime.py, so a
+renamed name fails here.  Each script runs in a child process, since importing
 tools/abtime.py pins BLAS threads and edits sys.path.
 """
 
@@ -57,25 +57,33 @@ def test_time_lift_exits_when_the_lifts_differ():
 
 def test_time_sweep_prints_time_and_deviation_rows():
     out = run(TOOLS / "time_sweep.py", "--best", "1", "--rounds", "1",
-              "--pairs", "2", "--size", "64")
+              "--pairs", "8", "--size", "64")
     assert out.returncode == 0, out.stderr
     rows = [line for line in out.stdout.splitlines() if line.startswith("   64^2 ")]
     assert len(rows) == 2
+    # the time row ends with the tracemalloc peak of each form: the skewed
+    # form's holds the 64 x 64 grid of coefficients (32 kB)
+    fields = rows[0].split()
+    assert fields[-1] == fields[-3] == "MB"
+    assert float(fields[-4]) >= 0.03 and 0.0 < float(fields[-2])
     # the deviation row: median (largest) of each form, below 1e-13
     devs = [float(f.strip("()")) for f in rows[1].split()[1:]]
     assert len(devs) == 4 and all(0.0 <= v < 1e-13 for v in devs)
 
 
-def test_time_sweep_exits_1_on_a_worse_rounding_closed_form():
+def test_time_sweep_exits_1_on_a_worse_rounding_grid_free_form():
     patch = "\n".join([
-        "def _corner(*args, **kwargs):",
-        "    return helpers.predictor_corrector(*args, **kwargs) * (1.0 + 1e-12)",
-        "goursat._corner = _corner",
+        "import numpy as np",
+        "real = goursat._sweep_order1",
+        "def _sweep_order1(X, Y, grid=None):",
+        "    out = real(X, Y, grid)",
+        "    return out * (1.0 + 1e-12) if out.dtype == np.float64 else out",
+        "goursat._sweep_order1 = _sweep_order1",
     ])
     out = run_patched(patch, "time_sweep.py", "--best", "1", "--rounds", "1",
                       "--pairs", "2", "--size", "16")
     assert out.returncode == 1, out.stderr
-    assert "exceeds 4x the average's at 16^2" in out.stdout
+    assert "exceeds 4x the skewed form's at 16^2" in out.stdout
 
 
 def test_code_lines_total_is_the_sum_of_its_rows():

@@ -1,51 +1,64 @@
-"""Time the scalar sweep with the closed-form cell update against the
-predictor-corrector average, and measure how far each rounds.
+"""Time the grid-free scalar sweep against the sweep over the full grid of
+cell coefficients, and measure the memory and the rounding of each.
 
     python tools/time_sweep.py [--best N] [--rounds R] [--pairs P] [--size S ...]
 
-For each grid size S (S x S cells), times goursat._sweep_order1 on one
-pair twice: as it is, with goursat._corner in closed form, and with
-tests/helpers.predictor_corrector, the four-point average as written,
-bound in place of goursat._corner.  tools/abtime.compare times them: a
-round takes the best of N timings of each, alternating which goes first;
-each timing repeats the sweep enough times to last about 20 ms.  The
-script prints, per size, the median over the rounds of both best times
-and the median [quartiles] of the time ratio, closed form over average,
-so a ratio below 1 is a gain.
+For each grid size S (S x S cells), times goursat.solve_order1 on one pair
+twice: as it is, with goursat._sweep_order1 building blocks of
+anti-diagonals of coefficients, and with tests/helpers.skewed_sweep_order1,
+which holds the whole (N_x, N_y) grid X @ Y^T and reads it through a
+skewed view, bound in place of goursat._sweep_order1.
+tools/abtime.compare times them: a round takes the best of N timings of
+each, alternating which goes first; each timing repeats the call enough
+times to last about 20 ms.  The script prints, per size, the median over
+the rounds of both best times, the median [quartiles] of the time ratio,
+grid-free over skewed, so a ratio below 1 is a gain, and the tracemalloc
+peak of one call of each.
 
 It then runs both forms on P pairs of 2-D Brownian paths of S steps on
 [0, 1] (experiment.simulate_bm, seeds 2s and 2s+1 for s = 0..P-1) and
-prints the median and the largest deviation of each from the same sweep
-run on the increments in np.longdouble, with the average as _corner,
-|u - u_ld| / max(1, |u_ld|) at the far corner.  Brownian increments never
-repeat, so the curvature correction does not fire and the reference is
-the plain four-point scheme.  The exit status is 1 if the closed form's
-median deviation exceeds 4 times the average's at some size, else 0.
+prints the median and the largest deviation of each from the grid-free
+sweep run on the increments in np.longdouble, |u - u_ld| / max(1, |u_ld|)
+at the far corner.  Brownian increments never repeat, so the curvature
+correction does not fire.  The exit status is 1 if the grid-free form's
+median deviation exceeds 4 times the skewed form's at some size, else 0.
 
 BLAS and OpenMP run on one thread.
 """
 
 import argparse
 import sys
+import tracemalloc
 
 import abtime  # before numpy: one BLAS thread, src/ and tests/ on sys.path
 
 import numpy as np
-from helpers import predictor_corrector
+from helpers import skewed_sweep_order1
 from pabsig import goursat
 from pabsig.experiment import simulate_bm
 
 SIZES = (128, 256, 512, 1024)
-# A closed form whose median deviation passes this many times the
-# average's rounds worse than the scheme it replaces.
+# A grid-free form whose median deviation passes this many times the
+# skewed form's rounds worse than the sweep it replaces.
 DEVIATION_LIMIT = 4.0
+FORMS = {"old": skewed_sweep_order1, "new": goursat._sweep_order1}
 
 
-def _sweep(corner, X, Y):
-    """Far-corner u of goursat._sweep_order1 on one pair, in the dtype of
-    the increments, with `corner` bound as _corner."""
-    with abtime.bound(goursat, "_corner", corner):
-        return goursat._sweep_order1(X[None], Y[None])[0]
+def _solve(which, X, Y):
+    """Kernel value of goursat.solve_order1 with the form `which` bound as
+    goursat._sweep_order1."""
+    with abtime.bound(goursat, "_sweep_order1", FORMS[which]):
+        return goursat.solve_order1(X, Y).value
+
+
+def _peak(which, X, Y):
+    """tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        _solve(which, X, Y)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def _increments(n, seed):
@@ -54,23 +67,24 @@ def _increments(n, seed):
 
 def time_size(n, best, rounds):
     X, Y = _increments(n, 0), _increments(n, 1)
-    new, old = (lambda corner=corner: _sweep(corner, X, Y)
-                for corner in (goursat._corner, predictor_corrector))
+    new, old = (lambda which=which: _solve(which, X, Y) for which in ("new", "old"))
     t_new, t_old, (med, q1, q3) = abtime.compare(new, old, best, rounds)
     print(f"{n:5}^2 {t_old * 1e3:11.3f} ms {t_new * 1e3:11.3f} ms"
-          f"   {med:.2f} [{q1:.2f}, {q3:.2f}]", flush=True)
+          f"   {med:.2f} [{q1:.2f}, {q3:.2f}]"
+          f" {_peak('old', X, Y):10.3f} MB {_peak('new', X, Y):8.3f} MB", flush=True)
 
 
 def deviations(n, pairs):
-    """Median and largest deviation of the average and of the closed form
-    from the average in np.longdouble over `pairs` Brownian pairs."""
+    """Median and largest deviation of the skewed and of the grid-free form
+    from the grid-free sweep in np.longdouble over `pairs` Brownian pairs."""
     dev = {"old": [], "new": []}
     for s in range(pairs):
         X, Y = _increments(n, 2 * s), _increments(n, 2 * s + 1)
-        ref = _sweep(predictor_corrector, X.astype(np.longdouble), Y.astype(np.longdouble))
+        ref = goursat._sweep_order1(X.astype(np.longdouble)[None],
+                                    Y.astype(np.longdouble)[None])[0]
         scale = max(np.longdouble(1.0), abs(ref))
-        for which, corner in (("old", predictor_corrector), ("new", goursat._corner)):
-            dev[which].append(float(abs(_sweep(corner, X, Y) - ref) / scale))
+        for which in dev:
+            dev[which].append(float(abs(_solve(which, X, Y) - ref) / scale))
     return {which: (float(np.median(d)), max(d)) for which, d in dev.items()}
 
 
@@ -90,12 +104,13 @@ def main(argv):
     if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
         print("warning: np.longdouble is float64 here; the deviations measure nothing",
               file=sys.stderr)
-    print(f"{'cells':7} {'average':>14} {'closed form':>14}   new/old median [quartiles]")
+    print(f"{'cells':7} {'skewed':>14} {'grid-free':>14}   new/old median [quartiles]"
+          f" {'peak skewed':>13} {'grid-free':>11}")
     for n in sizes:
         time_size(n, args.best, args.rounds)
     print(f"\ndeviation from np.longdouble, {args.pairs} Brownian pairs:"
           f" median (largest)")
-    print(f"{'cells':7} {'average':>22} {'closed form':>22}")
+    print(f"{'cells':7} {'skewed':>22} {'grid-free':>22}")
     worse = []
     for n in sizes:
         dev = deviations(n, args.pairs)
@@ -104,8 +119,8 @@ def main(argv):
         if dev["new"][0] > DEVIATION_LIMIT * dev["old"][0]:
             worse.append(n)
     if worse:
-        print(f"closed form's median deviation exceeds {DEVIATION_LIMIT:g}x the average's"
-              f" at {', '.join(f'{n}^2' for n in worse)}")
+        print(f"grid-free form's median deviation exceeds {DEVIATION_LIMIT:g}x the"
+              f" skewed form's at {', '.join(f'{n}^2' for n in worse)}")
         return 1
     return 0
 
