@@ -9,12 +9,12 @@ a level-p block with a level-q block lands exactly on the level-(p+q) block
 in concatenation order.  Everything in this module relies on that layout.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated, except that the private _operator writes into an out array it
-is given.  Coefficients are 64-bit floats throughout.  The raw-array
-primitives (_mul, _exp, _log and the partial signatures _partials)
-broadcast over leading axes, so a stack of elements is one array of shape
-(..., N); every row goes through the same elementwise operations as the
-1-D call, so batching never changes a bit.
+allocated, except that the fill function of the private _operator writes
+into the out array it was made for.  Coefficients are 64-bit floats
+throughout.  The raw-array primitives (_mul, _exp, _log and the partial
+signatures _partials) broadcast over leading axes, so a stack of elements
+is one array of shape (..., N); every row goes through the same
+elementwise operations as the 1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -195,15 +195,55 @@ def embed(a: TruncTensor, m: int) -> TruncTensor:
     return TruncTensor(a.dim, m, c)
 
 
+def _level(a, f, l: int) -> np.ndarray:
+    """Level l >= 1 of a (x) f for a scalar-free a, up to the sign of a 0.
+
+    a and f are lists of level blocks, f[0] a float; only f[0..l-1] is
+    read.  The terms a_j (x) f_{l-j} are summed as _mul sums them, in
+    ascending j, but from j = 1: the j = 0 term is a product with the
+    exact 0 of a's scalar slot, and on finite f it adds +-0 to the +0 that
+    _mul's sum starts from.  So the sum differs from _mul's level l at
+    most where both are 0, by the sign.  A factor f[0] = 1 is exact and
+    not multiplied.
+    """
+    s = None
+    for j in range(1, l + 1):
+        if j < l:
+            t = (a[j][..., :, None] * f[l - j][..., None, :]).reshape(a[l].shape)
+        else:
+            t = a[l] if f[0] == 1.0 else a[l] * f[0]
+        if s is None:
+            s = t
+        else:
+            s += t          # s is a fresh product: the first term is j = 1 < l
+    return s
+
+
 def _exp(d: int, m: int, a: np.ndarray) -> np.ndarray:
     """Truncated exponential of scalar-free rows, by Horner nesting:
-    exp(a) = 1 + a/1 (1 + a/2 (1 + ... (1 + a/m)))."""
-    one = np.zeros(_offsets(d, m)[-1])
-    one[0] = 1.0
-    e = np.broadcast_to(one, a.shape).copy()
-    for k in range(m, 0, -1):
-        e = one + _mul(d, m, a, e) / k
-    return e
+    exp(a) = 1 + a/1 (1 + a/2 (1 + ... (1 + a/m))).
+
+    Level l of a (x) e reads only levels below l of e.  So the factor
+    1 + a (x) e / k of the step of divisor k, which reaches the result
+    through k - 1 more products, is formed only up to level m - k + 1:
+    level 1 at the first step (k = m), all m levels at the last (k = 1).
+    Its scalar slot is exactly 1 and is kept as a float.  Each kept level
+    is _level(a, e, l) / k, the terms in _mul's order, and the division
+    by 1 of the last step is exact and skipped.  A sign of 0 reaches no
+    other bit through products and sums, so only the result's zeros can
+    differ from the full Horner product's; the one add of 0.0 at the end
+    turns them into the +0 that the full product gives, whose sums start
+    from +0.  So on finite input every bit is the full product's.
+    """
+    offs = _offsets(d, m)
+    blocks = [None] + [a[..., offs[l]:offs[l + 1]] for l in range(1, m + 1)]
+    e = [1.0]
+    for k in range(m, 1, -1):
+        e = [1.0] + [_level(blocks, e, l) / k for l in range(1, m - k + 2)]
+    out = np.concatenate([np.ones(a.shape[:-1] + (1,))]
+                         + [_level(blocks, e, l) for l in range(1, m + 1)], axis=-1)
+    out += 0.0
+    return out
 
 
 def exp_trunc(a: TruncTensor) -> TruncTensor:
@@ -215,18 +255,32 @@ def exp_trunc(a: TruncTensor) -> TruncTensor:
 
 def _log(d: int, m: int, g: np.ndarray) -> np.ndarray:
     """Truncated logarithm of rows with unit scalar slot, by Horner
-    nesting of log(1+x) = x (1 - x (1/2 - x (1/3 - ...)))."""
-    n = _offsets(d, m)[-1]
+    nesting of log(1+x) = x (1 - x (1/2 - x (1/3 - ...))).
+
+    With x = g - 1 scalar-free, level l of x (x) t reads only levels below
+    l of t.  So the factor (-1)^(k-1)/k + x (x) t of the step of
+    coefficient (-1)^(k-1)/k, which reaches the result through k more
+    products, is formed only up to level m - k: level 0 alone at the first
+    step (k = m), levels up to m - 1 at the last (k = 1), and then all m
+    levels of the result x (x) t.  Its scalar slot is exactly that
+    coefficient and is kept as a float.  Each kept level is
+    _level(x, t, l), the terms in _mul's order.  A sign of 0 reaches no
+    other bit through products and sums, so only the result's zeros can
+    differ from the full Horner product's; the one add of 0.0 at the end
+    turns them into the +0 that the full product gives, whose sums start
+    from +0.  So on finite input every bit is the full product's.
+    """
     if m == 0:
         return np.zeros(g.shape)
-    x = g.copy()
-    x[..., 0] = 0.0
-    one = np.zeros(n)
-    one[0] = 1.0
-    t = ((-1.0) ** (m - 1) / m) * one
+    offs = _offsets(d, m)
+    x = [None] + [g[..., offs[l]:offs[l + 1]] for l in range(1, m + 1)]
+    t = [(-1.0) ** (m - 1) / m]
     for k in range(m - 1, 0, -1):
-        t = ((-1.0) ** (k - 1) / k) * one + _mul(d, m, x, t)
-    return _mul(d, m, x, t)
+        t = [(-1.0) ** (k - 1) / k] + [_level(x, t, l) for l in range(1, m - k + 1)]
+    out = np.concatenate([np.zeros(g.shape[:-1] + (1,))]
+                         + [_level(x, t, l) for l in range(1, m + 1)], axis=-1)
+    out += 0.0
+    return out
 
 
 def log_trunc(a: TruncTensor) -> TruncTensor:
@@ -314,8 +368,9 @@ def _operator_index(d: int, m: int, k: int):
     return dest, src
 
 
-def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
-    """Write V = [M_x^T ; S_x] of rows x, shape (..., N), into out, shape (..., 2k, N).
+def _operator(d: int, m: int, out: np.ndarray):
+    """Return fill(x), which writes V = [M_x^T ; S_x] of rows x, shape
+    (..., N), into out, shape (..., 2k, N).
 
     Only the rows of the first k <= N prefixes are written, rows u < k of
     M_x^T and of S_x.  For z = [phi | psi] with k coefficients each,
@@ -323,12 +378,18 @@ def _operator(d: int, m: int, x: np.ndarray, out: np.ndarray) -> None:
     coefficients of R*_x(y) and of R*_y(x).  Only split positions are
     written, by one scatter through the flat positions of _operator_index;
     out must be 0 elsewhere, and C-contiguous, since a reshape of any other
-    out would be a copy.
+    out would be a copy.  The check, the index lookup and the flat view of
+    out are made here, once, so a caller that refills one out row after
+    row pays only the gather and the scatter per fill.
     """
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     dest, src = _operator_index(d, m, out.shape[-2] // 2)
-    out.reshape(out.shape[:-2] + (-1,))[..., dest] = x[..., src]
+    flat = out.reshape(out.shape[:-2] + (-1,))
+
+    def fill(x: np.ndarray) -> None:
+        flat[..., dest] = x[..., src]
+    return fill
 
 
 def _products(d: int, m: int, y: np.ndarray) -> np.ndarray:

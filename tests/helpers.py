@@ -161,6 +161,35 @@ def chen_steps(d, m, deltas, bounds):
     return out
 
 
+def horner_exp(d, m, a):
+    """tensors._exp as it was before its level-truncated form: every Horner
+    step is a full truncated product.  The reference that _exp must match
+    bit for bit on finite input."""
+    one = np.zeros(_offsets(d, m)[-1])
+    one[0] = 1.0
+    e = np.broadcast_to(one, a.shape).copy()
+    for k in range(m, 0, -1):
+        e = one + _mul(d, m, a, e) / k
+    return e
+
+
+def horner_log(d, m, g):
+    """tensors._log as it was before its level-truncated form: every Horner
+    step is a full truncated product.  The reference that _log must match
+    bit for bit on finite input."""
+    n = _offsets(d, m)[-1]
+    if m == 0:
+        return np.zeros(g.shape)
+    x = g.copy()
+    x[..., 0] = 0.0
+    one = np.zeros(n)
+    one[0] = 1.0
+    t = ((-1.0) ** (m - 1) / m) * one
+    for k in range(m - 1, 0, -1):
+        t = ((-1.0) ** (k - 1) / k) * one + _mul(d, m, x, t)
+    return _mul(d, m, x, t)
+
+
 def predictor_corrector(u00, u01, u10, h, g=None, curv=None):
     """The degree-m cell update as the four-point average is written: the
     predictor A + f1, then A + (f1 + f2 + f3 + f4)/4, less (c/12)*curv.

@@ -25,7 +25,7 @@ from pabsig.tensors import (
     _partials, _products, _radj,
 )
 
-from helpers import level_one, rand_scalar_free, rand_tensor
+from helpers import horner_exp, horner_log, level_one, rand_scalar_free, rand_tensor
 
 
 def tensor_from_words(d, m, entries):
@@ -270,6 +270,31 @@ def test_exp_log_round_trip():
             np.testing.assert_allclose(again.coeffs, x.coeffs, rtol=1e-11, atol=1e-12)
 
 
+def test_exp_and_log_match_the_full_horner_products_bitwise():
+    # _exp and _log form each Horner factor only up to the levels that can
+    # still reach the result and skip the products with the zero scalar
+    # slot; on finite input every bit is that of the full products, signed
+    # zeros and subnormal products included.  The rows mix scales, with
+    # exact +0.0 and -0.0 entries and a -0.0 scalar slot of exp's input.
+    rng = np.random.default_rng(71)
+    cases = [(d, m) for d in (1, 2, 3) for m in range(7)] + [(2, 12)]
+    for d, m in cases:
+        n = tensor_dim(d, m)
+        for lead in ((), (4,), (2, 3)):
+            rows = rng.standard_normal(lead + (n,)) * rng.choice(
+                [1e-160, 0.01, 0.3, 3.0], lead + (1,))
+            zeros = rng.random(rows.shape) < 0.3
+            rows[zeros] = np.where(rng.random(rows.shape) < 0.5, 0.0, -0.0)[zeros]
+            free, group = rows.copy(), rows.copy()
+            free[..., 0] = -0.0
+            group[..., 0] = 1.0
+            assert _exp(d, m, free).tobytes() == horner_exp(d, m, free).tobytes(), \
+                (d, m, lead)
+            assert _log(d, m, group).tobytes() == horner_log(d, m, group).tobytes(), \
+                (d, m, lead)
+            assert _exp(d, m, free).shape == _log(d, m, group).shape == rows.shape
+
+
 def test_left_adjoint_examples():
     d, m = 2, 2
     e1 = level_one(d, m, [1.0, 0.0])
@@ -449,7 +474,7 @@ def test_concat_tables_fill_products_and_adjoints():
                         mt[iu, word_index(u + v, d)] = x[iv]
                         sx[iu, iv] = x[word_index(u + v, d)]
             op = np.zeros((2, 2 * n, n))
-            _operator(d, m, np.stack([x, b]), op)
+            _operator(d, m, op)(np.stack([x, b]))
             assert op[0, :n].tobytes() == mt.tobytes()
             assert op[0, n:].tobytes() == sx.tobytes()
             for got, want in ((op[0, :n].T @ a, _mul(d, m, a, x)),
@@ -458,7 +483,7 @@ def test_concat_tables_fill_products_and_adjoints():
                 scale = max(1.0, float(np.abs(want).max()))
                 assert np.abs(got - want).max() <= 1e-13 * scale
             alone = np.zeros((2 * n, n))
-            _operator(d, m, b, alone)
+            _operator(d, m, alone)(b)
             assert alone.tobytes() == op[1].tobytes()
             _, pre, suf = _concat_tables(d, m)
             assert np.all(np.diff(pre * n + suf) > 0)   # (prefix, suffix) order
@@ -474,9 +499,15 @@ def test_operator_rows_below_k_match_the_full_operator_bitwise():
             x = rng.standard_normal((3, n))
             full = np.zeros((3, 2 * n, n))
             part = np.zeros((3, 2 * k, n))
-            _operator(d, m, x, full)
-            _operator(d, m, x, part)
+            _operator(d, m, full)(x)
+            _operator(d, m, part)(x)
             want = np.concatenate([full[:, :k], full[:, n:n + k]], axis=1)
+            assert part.tobytes() == want.tobytes(), (d, m)
+            # the sweep makes one fill per call and refills out row after
+            # row: every fill overwrites all the positions the last one wrote
+            fill = _operator(d, m, part)
+            fill(rng.standard_normal((3, n)))
+            fill(x)
             assert part.tobytes() == want.tobytes(), (d, m)
 
 
@@ -501,7 +532,7 @@ def test_operator_index_fills_the_table_positions():
                 assert len(np.unique(dest)) == len(dest)
                 assert np.array_equal(np.sort(dest), np.flatnonzero(marks)), (d, m, k)
                 got = np.zeros((2, 2 * k, n))
-                _operator(d, m, x, got)
+                _operator(d, m, got)(x)
                 assert got.tobytes() == want.tobytes(), (d, m, k)
 
 
@@ -509,12 +540,11 @@ def test_operator_rejects_out_that_is_not_c_contiguous():
     # a flat scatter through a reshape of such an out would fill a copy
     d, m = 2, 3
     n = tensor_dim(d, m)
-    x = np.ones(n)
     for out in (np.zeros((2 * n, 2 * n))[:, :n], np.zeros((n, 2 * n)).T,
                 np.zeros((3, 2 * n, n))[::2]):
         before = out.copy()
         with pytest.raises(ValueError, match="C-contiguous"):
-            _operator(d, m, x, out)
+            _operator(d, m, out)
         assert out.tobytes() == before.tobytes()
 
 

@@ -81,9 +81,19 @@ def test_time_sweep_exits_1_on_a_worse_rounding_grid_free_form():
         "goursat._sweep_order1 = _sweep_order1",
     ])
     out = run_patched(patch, "time_sweep.py", "--best", "1", "--rounds", "1",
-                      "--pairs", "2", "--size", "16")
+                      "--pairs", "8", "--size", "16")
     assert out.returncode == 1, out.stderr
     assert "exceeds 4x the skewed form's at 16^2" in out.stdout
+
+
+def test_time_sweep_exits_2_on_too_few_pairs_for_a_verdict():
+    # the median deviation of 2 pairs is noise: it read 8.5x at 64^2 on the
+    # library's own sweep, which passes on 8 pairs
+    out = run(TOOLS / "time_sweep.py", "--best", "1", "--rounds", "1",
+              "--pairs", "2", "--size", "64")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "--pairs must be >= 8" in out.stderr
 
 
 def test_code_lines_total_is_the_sum_of_its_rows():

@@ -22,6 +22,11 @@ sweep run on the increments in np.longdouble, |u - u_ld| / max(1, |u_ld|)
 at the far corner.  Brownian increments never repeat, so the curvature
 correction does not fire.  The exit status is 1 if the grid-free form's
 median deviation exceeds 4 times the skewed form's at some size, else 0.
+The deviations are a few ulps, so a median over few pairs is noise: at
+64^2 the ratio of the medians read 8.5 on 2 pairs, 2.2-2.9 on 4 pairs at
+32^2-64^2, and 1.15-1.75 on 8 pairs at 16^2-128^2.  So the script takes
+no fewer than 8 pairs, the default, and exits 2 on fewer, as on any other
+bad option.
 
 BLAS and OpenMP run on one thread.
 """
@@ -41,6 +46,8 @@ SIZES = (128, 256, 512, 1024)
 # A grid-free form whose median deviation passes this many times the
 # skewed form's rounds worse than the sweep it replaces.
 DEVIATION_LIMIT = 4.0
+# Fewest pairs whose median deviation the limit is judged on.
+VERDICT_PAIRS = 8
 FORMS = {"old": skewed_sweep_order1, "new": goursat._sweep_order1}
 
 
@@ -92,12 +99,15 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--best", type=int, default=9)
     parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--pairs", type=int, default=VERDICT_PAIRS)
     parser.add_argument("--size", type=int, action="append",
                         help=f"cells a side (repeatable; default {SIZES})")
     args = parser.parse_args(argv)
-    if args.best < 1 or args.rounds < 1 or args.pairs < 1:
-        parser.error("--best, --rounds and --pairs must be >= 1")
+    if args.best < 1 or args.rounds < 1:
+        parser.error("--best and --rounds must be >= 1")
+    if args.pairs < VERDICT_PAIRS:
+        parser.error(f"--pairs must be >= {VERDICT_PAIRS}: the median deviation of"
+                     f" fewer pairs is noise")
     if any(n < 1 for n in args.size or ()):
         parser.error("--size must be >= 1")
     sizes = args.size or SIZES
