@@ -43,8 +43,8 @@ tx = TimeSeries(np.linspace(0, 1, 9),
 ty = TimeSeries(np.linspace(0, 1, 7),
                 np.cumsum(np.vstack([np.zeros(2),
                                      rng.standard_normal((6, 2)) * 0.3]), axis=0))
-# (keep_state=True keeps the coupled sweep; without it, solve at degree 1
-# returns the scalar fast path itself)
+# (keep_state=True runs the coupled per-cell update, step(), on every cell;
+# without it, solve at degree 1 returns the scalar fast path itself)
 full = solve(build_pab(tx, tx.times, 1), build_pab(ty, ty.times, 1),
              keep_state=True).value
 fast = solve_order1(tx.increments(), ty.increments()).value

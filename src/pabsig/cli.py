@@ -42,12 +42,17 @@ class _ParseFailure(Exception):
     """Malformed input or config, or unwritable output; maps to exit code 2."""
 
 
-def _read_series(path: str) -> TimeSeries:
+def _read_text(path: str) -> str:
+    """The text of a file, a leading byte-order mark dropped; a file that
+    cannot be read is a _ParseFailure."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}")
-    data = _parse_rows(path, text)
+
+
+def _read_series(path: str) -> TimeSeries:
+    data = _parse_rows(path, _read_text(path))
     return TimeSeries(data[:, 0], data[:, 1:])
 
 
@@ -169,11 +174,7 @@ def _load_config(args) -> ExperimentConfig:
     data = {}
     if args.config:
         try:
-            raw = Path(args.config).read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise _ParseFailure(f"cannot read {args.config}: {exc}")
-        try:
-            data = json.loads(raw)
+            data = json.loads(_read_text(args.config))
         except json.JSONDecodeError as exc:
             raise _ParseFailure(f"{args.config}: invalid JSON: {exc}")
         if not isinstance(data, dict):

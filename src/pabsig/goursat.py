@@ -76,20 +76,20 @@ level.  The increments have scalar slot 0, so R*_x(y) and R*_y(x) have no
 level-m part and level m of phi and psi drops out of the terms of u;
 phi_m (x) x lands above level m, where it is truncated; and L*_{phi_m}(y)
 and L*_{psi_m}(x) land only in the scalar slot, which the update forces
-to 0.  So unless the grids are asked for, the coupled sweep carries the
-k = N(d, m-1) coefficients of levels 0..m-1 of each adjoint state in
-place of all N = N(d, m).  Outside the scalar slot, which it overwrites,
-every term the shorter row products drop is a product with an exact 0;
-the shorter sums still round differently, by an ulp or so.
+to 0.  So the coupled sweep carries the k = N(d, m-1) coefficients of
+levels 0..m-1 of each adjoint state in place of all N = N(d, m).  Outside
+the scalar slot, which it overwrites, every term the shorter row products
+drop is a product with an exact 0; the shorter sums still round
+differently, by an ulp or so.
 
 Memory: the coupled sweep's row step keeps per grid column the two rows
-of state, one (2, B, N_y+1, 2k) array with k = N(d, m-1), or N with the
-grids; the boundary partial signatures, of k coefficients; the
-(B, N_y, 2k) right adjoints of the row; per tensor level l the
-(B, N_y, 1, d^l) temporaries of the psi forcing and products; and for
-2 <= l <= the state's degree the (B, N_y, N(d, l-1) - 1, d^l) product
-matrices P_l of the y increments, which outgrow k: 27 values per column
-against k = 13 at d=3, m=3, and 351 against 40 at d=3, m=4.  Only the
+of state, one (2, B, N_y+1, 2k) array with k = N(d, m-1); the boundary
+partial signatures, of k coefficients; the (B, N_y, 2k) right adjoints
+of the row; per tensor level l the (B, N_y, 1, d^l) temporaries of the
+psi forcing and products; and for 2 <= l <= m-1 the
+(B, N_y, N(d, l-1) - 1, d^l) product matrices P_l of the y increments,
+which outgrow k: 27 values per column against k = 13 at d=3, m=3, and
+351 against 40 at d=3, m=4.  Only the
 (B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
 coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
 The scalar sweep keeps no N_x x N_y array: it holds a block of the half
@@ -98,7 +98,7 @@ coefficients on small shapes), (B, K, <= N_x), with a
 product temporary and numpy's two iteration buffers of at most its size;
 the halved x increments and a reversed, zero-padded copy of the y
 increments, O((N_x + N_y) d) values; and four anti-diagonals of u.  The
-full grids exist only when asked for.
+full grids exist only when asked for, and then come from step().
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ from .tensors import (
     NumericError,
     ShapeMismatchError,
     _check_pair,
+    _finite,
     _ladj,
     _mul,
     _offsets,
@@ -127,6 +128,9 @@ from .tensors import (
 # Relative tolerance under which increments count as equal, or as free of
 # content above level 1, for the curvature correction.
 _ROUNDING = 1e-12
+
+# Message of the NumericError that an overflowing kernel value raises.
+_OVERFLOW = "kernel value is not finite: the sweep overflowed"
 
 # Relative slack of the exact-kernel identities k(x, x) >= 1 and
 # |k(x, y)| <= sqrt(k(x, x) k(y, y)) (Cauchy-Schwarz); kernel() and
@@ -174,13 +178,6 @@ class KernelSolution:
 
     value: float
     state: Optional[GoursatState] = None
-
-
-def _finite(values: np.ndarray) -> np.ndarray:
-    """Far-corner values of a sweep, which runs with overflow warnings off."""
-    if not np.isfinite(values).all():
-        raise NumericError("kernel value is not finite: the sweep overflowed")
-    return values
 
 
 def _gate_flags(level1: np.ndarray, higher: np.ndarray):
@@ -337,10 +334,11 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
 def step(state: GoursatState, i: int, j: int) -> None:
     """Advance one cell, filling corner (i+1, j+1) from its three neighbors.
 
-    This is the readable per-cell reference; solve() performs the same
-    arithmetic in vectorized sweeps, and both take u at the new corner from
-    _corner.  The cell's increments x_i and y_j come from the state, and
-    the curvature correction compares them with x_{i-1} and y_{j-1} there.
+    This is the readable per-cell reference: solve() with keep_state runs
+    it on every cell, and the vectorized sweeps of solve_pairs() perform
+    the same arithmetic; all take u at the new corner from _corner.  The
+    cell's increments x_i and y_j come from the state, and the curvature
+    correction compares them with x_{i-1} and y_{j-1} there.
     """
     d, m = state.dim, state.degree
     u, phi, psi = state.u, state.phi, state.psi
@@ -381,17 +379,29 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
 
     Without the grids this is solve_pairs() on the one pair, so a pair
     gives the same bits here as inside any batch.  At degree 1 the adjoint
-    states never feed back into u, so unless the grids are asked for, the
-    value comes from the scalar sweep of solve_order1 on the level-1
-    coefficients, which agrees with the coupled sweep to rounding.  With
-    keep_state the coupled sweep fills the grids at every degree.  Raises
-    NumericError when the kernel value overflows.
+    states never feed back into u, so the value comes from the scalar
+    sweep of solve_order1 on the level-1 coefficients, which agrees with
+    the coupled sweep to rounding.
+
+    With keep_state the grids come from the per-cell reference at every
+    degree: init_boundaries, then step() on each cell in row-major order,
+    and the value is the far corner of the u grid.  It agrees with the
+    sweeps to rounding.  It costs 0.12-0.15 ms per cell at d = 2 (one
+    x86-64 core, numpy 2.4), 25-160 times the sweep of the values alone:
+    12 ms on 9 x 9 cells at m = 1, 31 ms on 16 x 16 and 0.57 s on 64 x 64
+    at m = 3.  step() reads a NaN as a cell not yet computed, so the loop
+    stops at the first corner whose u is not finite.  Raises NumericError
+    when the kernel value overflows.
     """
     if not keep_state:
         return KernelSolution(float(solve_pairs([px], [py])[0]))
-    state = init_boundaries(px, py)
-    values = _sweep(px.dim, px.degree, px.increments[None], py.increments[None], state)
-    return KernelSolution(float(_finite(values)[0]), state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_boundaries(px, py)
+        for i in range(px.n_intervals):
+            for j in range(py.n_intervals):
+                step(state, i, j)
+                _finite(state.u[i + 1, j + 1], _OVERFLOW)
+    return KernelSolution(float(state.u[-1, -1]), state)
 
 
 def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
@@ -423,22 +433,21 @@ def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
                 values[chunk] = _sweep_order1(X[..., 1:], Y[..., 1:])
             else:
                 values[chunk] = _sweep(d, m, X, Y)
-    return _finite(values)
+    return _finite(values, _OVERFLOW)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
-           state: Optional[GoursatState] = None) -> np.ndarray:
+def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Far-corner u of the coupled sweep over B pairs of one shape.
 
     X and Y hold the increments of the pairs, shape (B, N_x, N) and
     (B, N_y, N).  The state rows hold the first k coefficients of phi and
     psi: those of levels 0..m-1, k = N(d, m-1), since level m is dead
-    state (see the module docstring), or all k = N when the grids are
-    written.  Grid rows i and i+1 live in one (2, B, N_y+1, 2k) buffer
-    whose entry j is the state row [phi | psi] at corner j.  The scalar
-    slot of phi, which the update forces to 0, carries u instead: u at
-    corner j-1 of the same grid row, so u is shifted by one column.  Per
+    state (see the module docstring).  Grid rows i and i+1 live in one
+    (2, B, N_y+1, 2k) buffer whose entry j is the state row [phi | psi] at
+    corner j.  The scalar slot of phi, which the update forces to 0,
+    carries u instead: u at corner j-1 of the same grid row, so u is
+    shifted by one column.  Per
     row, the fill function that tensors._operator makes once for V fills
     the first k rows of both blocks of V = [M_x^T ; S_x] of x = x_i, shape
     (B, 2k, N), and then Y @ V^T = [R*_x(y_j) | R*_{y_j}(x)], whose first
@@ -448,8 +457,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     phi + phi (x) x + L*_psi(x) + u x at every column: the first row of
     M_x^T is x, so the u in the scalar slot brings the u x term.  Then the
     scalar slots of the new row take u[i, j], unshifted, so that the psi
-    forcing u[i, j] y_j + L*_phi(y_j) of levels 1..m-1 (or 1..m) is one
-    matmul per tensor level of the new phi rows by the levels of y_j.  psi
+    forcing u[i, j] y_j + L*_phi(y_j) of levels 1..m-1 is one matmul per
+    tensor level of the new phi rows by the levels of y_j.  psi
     is the running product psi[j+1] = psi[j] (x) (1 + y_j) + forcing from
     psi[0] = 0, built level by level, since level l of psi[j+1] reads only
     lower levels of psi[j]: from l = 2 on, one more matmul of the levels
@@ -459,8 +468,7 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     new row.  The adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> at the
     four corners of the cells are two row-wise dot products over both grid
     rows, which skip the scalar slots.  The boundary partial signatures
-    come from the first k coefficients of the increments at the degree of
-    the state.
+    come from the first k coefficients of the increments at degree m-1.
 
     The new u[i+1, j+1] is alpha_j u[i+1, j] + beta_j.  _corner is linear
     in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
@@ -473,8 +481,7 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     where the correction fires, and u advances by one multiply-add per
     cell on Python floats, which is the same IEEE arithmetic as numpy
     scalars.  Which rows have a cell that fires in some pair is worked out
-    once per call.  With a state (B = 1) the rows, of all N coefficients,
-    are written into its grids.
+    once per call.
 
     Built once per call: the boundary partials, the gate flags and the
     rows that fire, the views y_from and the matrices P_l; V with its fill
@@ -490,13 +497,12 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     B, nx, n = X.shape
     ny = Y.shape[1]
     offs = _offsets(d, m)
-    mk = m if state is not None else m - 1     # degree of the state rows
-    k = offs[mk + 1]
+    k = offs[m]                                 # N(d, m-1): levels 0..m-1
 
     rows = np.zeros((2, B, ny + 1, 2 * k))
-    rows[0, :, :, k:] = _partials(d, mk, Y[..., :k])
+    rows[0, :, :, k:] = _partials(d, m - 1, Y[..., :k])
     rows[0, :, 1:, 0] = 1.0
-    phi_bnd = _partials(d, mk, X[..., :k])
+    phi_bnd = _partials(d, m - 1, X[..., :k])
     pure_x, rep_x = _gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
     pure_y, rep_y = _gate_flags(Y[..., 1:1 + d], Y[..., 1 + d:])
     # row i of pair b has a cell that fires iff x_i repeats against some pure
@@ -518,8 +524,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
     # 0..m-l, which meet the levels l..m of every y_j, rows indexed by those
     # prefix words; from l = 2 on the new psi levels 1..l-1 and the product
     # matrices P_l of the y_j (None at l = 1); and the new psi level l
-    y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, mk + 1)]
-    prods = [None] + [_products(d, l, Y) for l in range(2, mk + 1)]
+    y_from = [Y[..., offs[l]:].reshape(B, ny, -1, d**l) for l in range(1, m)]
+    prods = [None] + [_products(d, l, Y) for l in range(2, m)]
     parities = []
     for k0 in (0, 1):                           # rows i and i+1 in the buffer
         old, new = rows[k0], rows[1 - k0]
@@ -527,8 +533,8 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
         levels = [(lo[..., :offs[m - l + 1]], y_l,
                    None if p is None else lo[..., k + 1:k + offs[l]], p,
                    new[:, 1:, k + offs[l]:k + offs[l + 1]])
-                  for l, y_l, p in zip(range(1, mk + 1), y_from, prods)]
-        parities.append((new, new[:, 0, :k], old[:, 1:], new[:, 1:, :k], new[..., 0],
+                  for l, y_l, p in zip(range(1, m), y_from, prods)]
+        parities.append((new[:, 0, :k], old[:, 1:], new[:, 1:, :k], new[..., 0],
                          new[:, 1:, 0], levels))
 
     for i in range(nx):
@@ -542,7 +548,7 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
                 fire_s = rep_x[:, i:i + block, None] & pure_y[:, None]
             alpha_blk, w01, w00, wg0 = _weights(h_blk, fire_s)
         k0, k1 = i % 2, 1 - i % 2
-        new, bnd, phi_old, phi_new, u_col, u_shifted, levels = parities[k0]
+        bnd, phi_old, phi_new, u_col, u_shifted, levels = parities[k0]
         fill(X[:, i])
         np.matmul(Y, vt, out=r)
         diag[...] = 1.0
@@ -585,12 +591,6 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray,
             u_rows.append(row)
         u_new = np.array(u_rows)
         u_shifted[...] = u_new[:, :-1]
-
-        if state is not None:
-            state.u[i + 1] = u_new[0]
-            state.phi[i + 1] = new[0, :, :k]
-            state.phi[i + 1, :, 0] = 0.0
-            state.psi[i + 1] = new[0, :, k:]
         u_prev2, u_prev = u_prev, u_new
     return u_prev[:, ny]
 
@@ -692,7 +692,7 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ValueError("non-finite increment coefficient")
     grid = np.ones((len(X) + 1, len(Y) + 1)) if keep_state else None
-    value = float(_finite(_sweep_order1(X[None], Y[None], grid))[0])
+    value = float(_finite(_sweep_order1(X[None], Y[None], grid), _OVERFLOW)[0])
     if keep_state:
         return KernelSolution(value, GoursatState(X.shape[1], 1, grid, None, None))
     return KernelSolution(value)

@@ -33,9 +33,9 @@ import numpy as np
 
 from .tensors import (
     _BATCH_VALUES,
-    NumericError,
     ShapeMismatchError,
     TruncTensor,
+    _finite,
     _log,
     _offsets,
     _partials,
@@ -247,12 +247,8 @@ def _lifted(d: int, m: int, deltas: np.ndarray, bounds: Sequence[int],
         out = _chen(d, m, deltas, np.asarray(bounds))
         if log:
             out = _log(d, m, out)
-    if not np.all(np.isfinite(out)):
-        what = "log-signature" if log else "signature"
-        raise NumericError(
-            f"degree-{m} {what} overflows: path increments are too large"
-        )
-    return out
+    what = "log-signature" if log else "signature"
+    return _finite(out, f"degree-{m} {what} overflows: path increments are too large")
 
 
 def segment_signature(delta: Sequence[float], m: int) -> TruncTensor:
@@ -308,9 +304,12 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
     return PiecewiseAbelianPath(ts.dim, m, part, logs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
-    """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1."""
-    rows = _partials(p.dim, p.degree, p.increments)
+    """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1;
+    raises NumericError where they overflow."""
+    rows = _finite(_partials(p.dim, p.degree, p.increments),
+                   f"degree-{p.degree} partial signature overflows: path increments are too large")
     rows[:, 0] = 1.0
     return [TruncTensor(p.dim, p.degree, g) for g in rows]
 

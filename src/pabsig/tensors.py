@@ -11,10 +11,12 @@ in concatenation order.  Everything in this module relies on that layout.
 All operations are pure: inputs are never mutated and results are freshly
 allocated, except that the fill function of the private _operator writes
 into the out array it was made for.  Coefficients are 64-bit floats
-throughout.  The raw-array primitives (_mul, _exp, _log and the partial
-signatures _partials) broadcast over leading axes, so a stack of elements
-is one array of shape (..., N); every row goes through the same
-elementwise operations as the 1-D call, so batching never changes a bit.
+throughout.  The public operations compute with numpy's overflow warnings
+off and raise NumericError on a result that is not finite (_finite).  The
+raw-array primitives (_mul, _exp, _log and the partial signatures
+_partials) broadcast over leading axes, so a stack of elements is one
+array of shape (..., N); every row goes through the same elementwise
+operations as the 1-D call, so batching never changes a bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,25 @@ class ShapeMismatchError(ValueError):
 class NumericError(ValueError):
     """A computed quantity, such as a lifted signature, is not finite, or a
     computed kernel breaks an identity that the exact kernel satisfies."""
+
+
+# Message of the NumericError that an overflowing public operation raises.
+_OVERFLOW = "result is not finite: the tensor operation overflowed"
+
+
+def _finite(values, message: str):
+    """values, computed with overflow warnings off; raises
+    NumericError(message) unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise NumericError(message)
+    return values
+
+
+def _computed(op, d: int, m: int, *args) -> TruncTensor:
+    """The TruncTensor of op(d, m, *args), computed with overflow warnings
+    off; raises NumericError where a coefficient is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TruncTensor(d, m, _finite(op(d, m, *args), _OVERFLOW))
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +166,7 @@ def unit(d: int, m: int) -> TruncTensor:
 def linear_combine(alpha: float, a: TruncTensor, beta: float, b: TruncTensor) -> TruncTensor:
     """Coefficient-wise alpha*a + beta*b."""
     _check_pair(a, b)
-    return TruncTensor(a.dim, a.degree, alpha * a.coeffs + beta * b.coeffs)
+    return _computed(lambda d, m: alpha * a.coeffs + beta * b.coeffs, a.dim, a.degree)
 
 
 def _mul(d: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -169,13 +190,14 @@ def _mul(d: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mul_trunc(a: TruncTensor, b: TruncTensor) -> TruncTensor:
     """Truncated tensor product; terms beyond level m are dropped."""
     _check_pair(a, b)
-    return TruncTensor(a.dim, a.degree, _mul(a.dim, a.degree, a.coeffs, b.coeffs))
+    return _computed(_mul, a.dim, a.degree, a.coeffs, b.coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inner(a: TruncTensor, b: TruncTensor) -> float:
     """Inner product: Euclidean dot of the coefficient vectors."""
     _check_pair(a, b)
-    return float(a.coeffs @ b.coeffs)
+    return float(_finite(a.coeffs @ b.coeffs, _OVERFLOW))
 
 
 def project(a: TruncTensor, k: int) -> TruncTensor:
@@ -250,7 +272,7 @@ def exp_trunc(a: TruncTensor) -> TruncTensor:
     """Truncated exponential sum of a^(x)k / k!; requires zero scalar slot."""
     if a.coeffs[0] != 0.0:
         raise ValueError(f"exp_trunc needs scalar slot 0, got {a.coeffs[0]}")
-    return TruncTensor(a.dim, a.degree, _exp(a.dim, a.degree, a.coeffs))
+    return _computed(_exp, a.dim, a.degree, a.coeffs)
 
 
 def _log(d: int, m: int, g: np.ndarray) -> np.ndarray:
@@ -287,7 +309,7 @@ def log_trunc(a: TruncTensor) -> TruncTensor:
     """Truncated logarithm; requires unit scalar slot, returns scalar-free."""
     if a.coeffs[0] != 1.0:
         raise ValueError(f"log_trunc needs scalar slot 1, got {a.coeffs[0]}")
-    return TruncTensor(a.dim, a.degree, _log(a.dim, a.degree, a.coeffs))
+    return _computed(_log, a.dim, a.degree, a.coeffs)
 
 
 def _partials(d: int, m: int, incs: np.ndarray) -> np.ndarray:
@@ -431,7 +453,7 @@ def left_adjoint(a: TruncTensor, c: TruncTensor) -> TruncTensor:
     The result satisfies <c, a (x) b> == <left_adjoint(a, c), b> for every b
     within the truncation of c; its coefficient of e_v is sum_u a[u]*c[uv].
     """
-    return TruncTensor(c.dim, c.degree, _ladj(c.dim, c.degree, _matched(a, c), c.coeffs))
+    return _computed(_ladj, c.dim, c.degree, _matched(a, c), c.coeffs)
 
 
 def _radj(d: int, m: int, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -446,7 +468,7 @@ def right_adjoint(b: TruncTensor, c: TruncTensor) -> TruncTensor:
     The result satisfies <c, a (x) b> == <right_adjoint(b, c), a> within the
     truncation of c; its coefficient of e_u is sum_v b[v]*c[uv].
     """
-    return TruncTensor(c.dim, c.degree, _radj(c.dim, c.degree, _matched(b, c), c.coeffs))
+    return _computed(_radj, c.dim, c.degree, _matched(b, c), c.coeffs)
 
 
 def word_index(word: Iterable[int], d: int) -> int:

@@ -141,29 +141,45 @@ def test_step_zero_x_increment():
     np.testing.assert_array_equal(state.phi[1, 1], state.phi[0, 1])
 
 
+def step_cases(rng):
+    """Pairs of the shapes that the sweeps are checked on against step():
+    four random shapes at degrees 2-3; repeated increments, which fire the
+    curvature correction, at degree 1 (the scalar sweep) and zero-padded
+    to degree 2 (the coupled sweep); and a single row and a single
+    column."""
+    cases = [(rand_pab(rng, d, m, nx), rand_pab(rng, d, m, ny))
+             for d, m, nx, ny in ((1, 2, 3, 4), (2, 2, 4, 5), (2, 3, 4, 3), (3, 2, 2, 6))]
+    px = refine_pab(rand_pab(rng, 2, 1, 2), 3)
+    py = refine_pab(rand_pab(rng, 2, 1, 3), 2)
+    cases += [(px, py), (pad_pab(px, 2), pad_pab(py, 2))]
+    px, py = rand_pab(rng, 2, 2, 1), rand_pab(rng, 2, 2, 5)
+    return cases + [(px, py), (py, px)]
+
+
 def test_solve_matches_step_loop():
     rng = np.random.default_rng(24)
-    cases = [(1, 2, 3, 4), (2, 2, 4, 5), (2, 3, 4, 3), (3, 2, 2, 6)]
-    for d, m, nx, ny in cases:
-        px = rand_pab(rng, d, m, nx)
-        py = rand_pab(rng, d, m, ny)
+    cases = step_cases(rng)
+    for px, py in cases[:4]:
+        ref = manual_sweep(px, py)
+        assert solve(px, py).value == pytest.approx(float(ref.u[-1, -1]), rel=1e-13)
+    # the curvature correction fires: at degree 1 through the scalar sweep,
+    # at degree 2 through the coupled adjoint sweep
+    for px, py in cases[4:6]:
+        ref = manual_sweep(px, py)
+        np.testing.assert_allclose(solve(px, py).value, ref.u[-1, -1], rtol=1e-12, atol=1e-12)
+
+
+def test_keep_state_grids_are_the_step_loop():
+    # keep_state runs the per-cell reference: init_boundaries, then step()
+    # row by row, and the value is the far corner of its u grid
+    rng = np.random.default_rng(24)
+    for px, py in step_cases(rng):
         ref = manual_sweep(px, py)
         got = solve(px, py, keep_state=True)
         assert not np.isnan(got.state.u).any()
-        np.testing.assert_allclose(got.state.u, ref.u, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got.state.phi, ref.phi, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got.state.psi, ref.psi, rtol=1e-12, atol=1e-12)
-        assert got.value == pytest.approx(float(ref.u[nx, ny]), rel=1e-13)
-    # repeated increments fire the curvature correction, at degree 1 and
-    # through the coupled adjoint sweep of a zero-padded degree-2 path
-    px = refine_pab(rand_pab(rng, 2, 1, 2), 3)
-    py = refine_pab(rand_pab(rng, 2, 1, 3), 2)
-    for a, b in ((px, py), (pad_pab(px, 2), pad_pab(py, 2))):
-        ref = manual_sweep(a, b)
-        got = solve(a, b, keep_state=True)
-        np.testing.assert_allclose(got.state.u, ref.u, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got.state.phi, ref.phi, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(got.state.psi, ref.psi, rtol=1e-12, atol=1e-12)
+        for grid in ("u", "phi", "psi"):
+            assert same_bits(getattr(got.state, grid), getattr(ref, grid)), grid
+        assert same_bits(got.value, ref.u[-1, -1])
 
 
 def test_top_level_of_adjoint_states_is_dead():
@@ -188,8 +204,8 @@ def test_top_level_of_adjoint_states_is_dead():
 
 
 def test_reduced_sweep_matches_full_degree_sweep():
-    # without the grids the coupled sweep carries levels 0..m-1 of the
-    # adjoint states, with them all of levels 0..m
+    # the coupled sweep carries levels 0..m-1 of the adjoint states, the
+    # per-cell step() that keep_state runs all of levels 0..m
     rng = np.random.default_rng(96)
     for d in (1, 2, 3):
         for m in (2, 3, 4, 5):
@@ -211,8 +227,7 @@ def test_solve_single_row_and_column():
     py = rand_pab(rng, 2, 2, 5)
     for a, b in ((px, py), (py, px)):
         ref = manual_sweep(a, b)
-        got = solve(a, b, keep_state=True)
-        np.testing.assert_allclose(got.state.u, ref.u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(solve(a, b).value, ref.u[-1, -1], rtol=1e-12, atol=1e-12)
 
 
 def test_solve_trivial_paths():
@@ -334,7 +349,8 @@ def test_solve_order1_examples():
 def test_single_cells_are_exact():
     # one cell from unit corners gives (1 + c/2)^2, and every operation of
     # the closed form is exact at these c: the scalar sweep, the coupled
-    # sweep and _corner, which takes h = c/2, give the same value
+    # sweep (on the degree-2 lifts, whose adjoint terms are 0 here), step()
+    # and _corner, which takes h = c/2, give the same value
     for c, want in ((1.0, 2.25), (0.5, 1.5625), (-2.0, 0.0), (4.0, 9.0)):
         assert goursat._corner(1.0, 1.0, 1.0, 0.5 * c) == want
         assert solve_order1([[c, 0.0]], [[1.0, 0.0]]).value == want
@@ -342,6 +358,8 @@ def test_single_cells_are_exact():
         py = single_segment_pab([1.0, 0.0], 1)
         assert solve(px, py, keep_state=True).value == want
         assert manual_sweep(px, py).u[1, 1] == want
+        px, py = single_segment_pab([c, 0.0], 1, 2), single_segment_pab([1.0, 0.0], 1, 2)
+        assert solve(px, py).value == want
 
 
 def repeats(X):
@@ -619,10 +637,7 @@ def test_coupled_sweep_gates_only_firing_rows():
         got = solve_pairs([a for a, _ in pairs], [b for _, b in pairs])
         assert same_bits(got, alone)
         ref = manual_sweep(px, py)
-        state = solve(px, py, keep_state=True).state
-        np.testing.assert_allclose(state.u, ref.u, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(state.phi, ref.phi, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(state.psi, ref.psi, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(alone[2], ref.u[-1, -1], rtol=1e-12, atol=1e-12)
 
 
 def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
@@ -634,8 +649,8 @@ def test_solve_pairs_splits_large_groups_into_chunks(monkeypatch):
     assert same_bits(solve_pairs(pxs, pys), alone)
     batches = []
     sweep, sweep_order1 = goursat._sweep, goursat._sweep_order1
-    monkeypatch.setattr(goursat, "_sweep", lambda d, m, X, Y, state=None:
-                        batches.append((m, len(X))) or sweep(d, m, X, Y, state))
+    monkeypatch.setattr(goursat, "_sweep", lambda d, m, X, Y:
+                        batches.append((m, len(X))) or sweep(d, m, X, Y))
     monkeypatch.setattr(goursat, "_sweep_order1", lambda X, Y, grid=None:
                         batches.append((1, len(X))) or sweep_order1(X, Y, grid))
     # per pair the budget counts 4 x 8 x 5 + (2 x 2 + 12) x 9 + 2 x (8 + 5)
@@ -753,3 +768,7 @@ def test_solve_pairs_validation():
     big = PiecewiseAbelianPath(2, 2, [0.0, 1.0, 2.0], b.increments * 1e100)
     with pytest.raises(NumericError):
         solve_pairs([b, big, b], [b, big, b])
+    # so does its per-cell sweep, though step() reads the NaN it leaves in
+    # u as a cell not yet computed
+    with pytest.raises(NumericError, match="the sweep overflowed"):
+        solve(big, big, keep_state=True)

@@ -433,3 +433,7 @@ def test_lift_overflow_raises_numeric_error():
                 lift()
         # level 1 alone stays finite
         assert np.isfinite(build_pab(ts, ts.times, 1).increments).all()
+        # each interval's log-signature is finite, their running product not
+        p = PiecewiseAbelianPath(1, 2, [0.0, 1.0, 2.0], [[0.0, 1e154, 0.0]] * 2)
+        with pytest.raises(NumericError, match="^degree-2 partial signature overflows"):
+            pab_partial_signatures(p)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pabsig import (
+    NumericError,
     ShapeMismatchError,
     TimeSeries,
     direct_truncated_kernel,
@@ -19,6 +21,16 @@ from helpers import line_series, series_with_variation
 def test_direct_kernel_constant_paths():
     ts = TimeSeries([0.0, 1.0, 2.0], np.zeros((3, 2)))
     assert direct_truncated_kernel(ts, ts, 4) == 1.0
+
+
+def test_direct_kernel_overflow_raises_numeric_error():
+    # both level-12 signatures are finite (largest coefficient 1.9e234), but
+    # their inner product overflows
+    ts = TimeSeries([0.0, 1.0, 2.0], [[0.0, 0.0], [1e20, 0.0], [1e20, 1e20]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="tensor operation overflowed"):
+            direct_truncated_kernel(ts, ts, 12)
 
 
 def test_direct_kernel_orthogonal_segments():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pabsig import (
+    NumericError,
     ShapeMismatchError,
     TruncTensor,
     all_words,
@@ -293,6 +296,23 @@ def test_exp_and_log_match_the_full_horner_products_bitwise():
             assert _log(d, m, group).tobytes() == horner_log(d, m, group).tobytes(), \
                 (d, m, lead)
             assert _exp(d, m, free).shape == _log(d, m, group).shape == rows.shape
+
+
+def test_overflowing_operations_raise_numeric_error():
+    # every public operation computes with overflow warnings off and raises
+    # NumericError, not the constructor's ValueError, on a non-finite result
+    t = tensor_from_words(2, 3, {(1,): 1e200, (2,): 1e200})
+    g = tensor_from_words(2, 3, {(): 1.0, (1,): 1e200, (2,): 1e200})
+    c = tensor_from_words(2, 3, {(1, 1): 1e200, (1, 2): 1e200, (2, 2): 1e200})
+    ops = (lambda: exp_trunc(t), lambda: mul_trunc(t, t), lambda: log_trunc(g),
+           lambda: linear_combine(1e200, t, 0.0, t), lambda: inner(t, t),
+           lambda: left_adjoint(t, c), lambda: right_adjoint(t, c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in ops:
+            with pytest.raises(NumericError,
+                               match="^result is not finite: the tensor operation overflowed$"):
+                op()
 
 
 def test_left_adjoint_examples():

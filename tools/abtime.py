@@ -2,11 +2,13 @@
 
 A script imports this module before numpy: the import pins BLAS and OpenMP
 to one thread and puts src/ and tests/ on sys.path, so that the script can
-then import pabsig and the reference forms in tests/helpers.py.  bound()
-puts an old form in place of a library name for the time of a block, and
-compare() times the library as it is against it.
+then import pabsig and the reference forms in tests/helpers.py.  parse()
+reads the options, bound() puts an old form in place of a library name
+for the time of a block, and compare() times the library as it is
+against it.
 """
 
+import argparse
 import contextlib
 import os
 import sys
@@ -20,6 +22,25 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
+
+
+def parse(doc, argv, **options):
+    """Parse argv for a script whose docstring is doc.
+
+    The options are --best N (default 9) and --rounds R (default 11),
+    which compare() takes and which must be at least 1, then one --NAME
+    per keyword, declared with the add_argument keywords it maps to.
+    Returns the parser, for the script's own checks, and the values.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    options = dict(best=dict(type=int, default=9), rounds=dict(type=int, default=11),
+                   **options)
+    for name, spec in options.items():
+        parser.add_argument(f"--{name}", **spec)
+    args = parser.parse_args(argv)
+    if args.best < 1 or args.rounds < 1:
+        parser.error("--best and --rounds must be >= 1")
+    return parser, args
 
 
 @contextlib.contextmanager

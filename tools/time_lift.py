@@ -28,7 +28,6 @@ kind that oracle.direct_truncated_kernel takes at level 12:
 Increments are seeded Gaussian steps of scale 0.05.
 """
 
-import argparse
 import sys
 
 import abtime  # before numpy: one BLAS thread, src/ and tests/ on sys.path
@@ -80,14 +79,8 @@ def time_shape(name, best, rounds):
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--best", type=int, default=9)
-    parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--shape", action="append", choices=sorted(SHAPES),
-                        help="time only this shape (repeatable)")
-    args = parser.parse_args(argv)
-    if args.best < 1 or args.rounds < 1:
-        parser.error("--best and --rounds must be >= 1")
+    _, args = abtime.parse(__doc__, argv, shape=dict(
+        action="append", choices=sorted(SHAPES), help="time only this shape (repeatable)"))
     print(f"{'shape':15} {'':29} {'per-position':>12} {'by level':>12}"
           f"   new/old median [quartiles]")
     for name in args.shape or SHAPES:

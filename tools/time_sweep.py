@@ -31,7 +31,6 @@ bad option.
 BLAS and OpenMP run on one thread.
 """
 
-import argparse
 import sys
 import tracemalloc
 
@@ -96,15 +95,9 @@ def deviations(n, pairs):
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--best", type=int, default=9)
-    parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--pairs", type=int, default=VERDICT_PAIRS)
-    parser.add_argument("--size", type=int, action="append",
-                        help=f"cells a side (repeatable; default {SIZES})")
-    args = parser.parse_args(argv)
-    if args.best < 1 or args.rounds < 1:
-        parser.error("--best and --rounds must be >= 1")
+    parser, args = abtime.parse(
+        __doc__, argv, pairs=dict(type=int, default=VERDICT_PAIRS),
+        size=dict(type=int, action="append", help=f"cells a side (repeatable; default {SIZES})"))
     if args.pairs < VERDICT_PAIRS:
         parser.error(f"--pairs must be >= {VERDICT_PAIRS}: the median deviation of"
                      f" fewer pairs is noise")
