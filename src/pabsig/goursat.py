@@ -93,22 +93,26 @@ which outgrow k: 27 values per column against k = 13 at d=3, m=3, and
 (B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
 coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
 The scalar sweep keeps no N_x x N_y array: it holds a block of the half
-coefficients of K <= 64 anti-diagonals (N_y/5 of them, or enough for 256
+coefficients of K <= 64 anti-diagonals (N_y/5 of them, or enough for 512
 coefficients on small shapes), (B, K, <= N_x), with a
 product temporary and numpy's two iteration buffers of at most its size;
 the halved x increments and a reversed, zero-padded copy of the y
-increments, O((N_x + N_y) d) values; and four anti-diagonals of u.  The
-full grids exist only when asked for, and then come from step().
+increments, O((N_x + N_y) d) values, and where some interval repeats its
+neighbour a reversed, False-padded copy of the y repeat flags; four
+anti-diagonals of u, which _corner updates in place; and one temporary
+u10 + u01 of the block's width per anti-diagonal.  The full grids exist
+only when asked for, and then come from step().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .lift import PiecewiseAbelianPath, TimeSeries, build_pab
+from .lift import PiecewiseAbelianPath, TimeSeries, _partial_rows, build_pab
 from .tensors import (
     _BATCH_VALUES,
     NumericError,
@@ -199,7 +203,7 @@ def _gate_flags(level1: np.ndarray, higher: np.ndarray):
     return pure, repeat
 
 
-def _corner(u00, u01, u10, h, g=None, curv=None):
+def _corner(u00, u01, u10, h, g=None, curv=None, out=None):
     """u at the new corner (i+1, j+1) of cells with h = c/2, c = <x_i, y_j>.
 
     The one cell update, elementwise on floats or on arrays of cells.  It
@@ -208,7 +212,10 @@ def _corner(u00, u01, u10, h, g=None, curv=None):
     (i, j+1), (i+1, j); g holds the
     adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> there and at the new
     corner, or None at degree 1, where they vanish; curv is the fired
-    D_s + D_t, or None where no cell fires.
+    D_s + D_t, or None where no cell fires.  With out, an array of the
+    cells' shape that aliases no input, the update is written there and
+    out is returned; at degree 1 without curv it then allocates one
+    temporary, u10 + u01, where the value form allocates six.
 
     The predictor-corrector average a + (f1 + f2 + f3 + f4)/4, with
     a = u10 + u01 - u00, f1..f3 = c*u00 + g[0], c*u01 + g[1], c*u10 + g[2]
@@ -220,14 +227,22 @@ def _corner(u00, u01, u10, h, g=None, curv=None):
         u' = (s - u00) + h*(s + h*u00)
              + ((1 + h + h)*g[0] + g[1] + g[2] + g[3])/4 - (h/6)*curv,
 
-    which is the form evaluated here: 6 array operations at degree 1.
-    h + h and h/6 are exactly c and c/12 unless c is subnormal.
+    which is the form evaluated here: 6 array operations at degree 1, the
+    same with and without out, since IEEE sums and products do not depend
+    on the order of their operands.  h + h and h/6 are exactly c and c/12
+    unless c is subnormal.
     """
     s = u10 + u01
-    u = (s - u00) + h * (s + h * u00)
+    u = np.multiply(h, u00, out=out)
+    u = np.add(s, u, out=out)
+    u = np.multiply(h, u, out=out)
+    s -= u00
+    u = np.add(s, u, out=out)
     if g is not None:
-        u = u + 0.25 * (((1.0 + (h + h)) * g[0] + g[1]) + (g[2] + g[3]))
-    return u if curv is None else u - (h / 6.0) * curv
+        u = np.add(u, 0.25 * (((1.0 + (h + h)) * g[0] + g[1]) + (g[2] + g[3])), out=out)
+    if curv is not None:
+        u = np.subtract(u, (h / 6.0) * curv, out=out)
+    return u
 
 
 def _weights(h, fire_s=None):
@@ -246,9 +261,9 @@ def _weights(h, fire_s=None):
 
 
 # Most anti-diagonals per block of cell coefficients in the scalar sweep.
-# At 1024^2 cells (one BLAS thread), blocks of 64 ran 0.80x the time of the
-# sweep over the whole coefficient grid, blocks of 16 0.92x, and blocks of
-# 128, which hold twice as much, 0.82x.
+# At 1024^2 cells (one BLAS thread), blocks of 32, 48 and 128 ran 1.03x,
+# 0.99x and 1.17x the time of blocks of 64, and 1.05x, 1.02x and 1.14x at
+# 512^2.
 _DIAGONALS = 64
 
 
@@ -260,13 +275,17 @@ def _diagonal_block(nx: int, ny: int) -> int:
     numpy's two iteration buffers of the windowed multiply.  So K <= N_y/5
     keeps the four below 4/5 of the N_x x N_y coefficient grid, and shapes
     from 64 x 64 cells up peak lower than the sweep did when it held that
-    grid.  Below that, K grows until a block holds 256 coefficients: blocks
-    of 1-6 anti-diagonals ran 1.1-1.4x the time of the grid sweep at 8^2 to
-    32^2 cells, and four blocks of 256 add 8 KiB to a fixed working set of
-    about that size there.  K never passes the N_x + N_y - 1 anti-diagonals
-    of the grid.
+    grid.  Below that, K grows until a block holds 512 coefficients.  Each
+    block builds a dozen views of the u buffers, and every anti-diagonal
+    of it runs over the block's whole x range, so small shapes want long
+    blocks: against a floor of 256 coefficients, one of 512 ran 0.92x the
+    time at 16^2 cells and 0.88x at 32^2, one of 128 1.16x and 1.12x.  A
+    floor of 1024 ran 0.79x at 32^2 and 0.93x at 64^2, but there it would
+    hold blocks of N_y/4 anti-diagonals, as large as the grid.  Four blocks
+    of 512 add 16 KiB to a working set of 10-28 kB at 8^2 to 32^2.  K never
+    passes the N_x + N_y - 1 anti-diagonals of the grid.
     """
-    wanted = max(ny // 5, 256 // nx)
+    wanted = max(ny // 5, 512 // nx)
     return max(1, min(_DIAGONALS, nx + ny - 1, wanted))
 
 
@@ -279,12 +298,13 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     the smaller of the block and np.getbufsize(); d (K + w) of the padding
     of the y copy; and 2d + 12 per interval of either path: d + 1 of the
     stacked increments, d of the halved x or the padded y copy, 4 of the u
-    diagonals and 7 for the gate tests' temporaries and the fixed numpy
-    and Python overhead.  The buffers are per call, not per pair, so this
-    over-counts batches.  Measured single-pair peaks are 0.6-0.93 of this
-    at d = 1-5 on 64-1024 cells a side, 512 x 64 and 64 x 512.  In the
-    coupled sweep every per-column array of the row step but the product
-    matrices P_l has k = N(d, m-1) coefficients, and only V, the
+    diagonals and 7 for the gate tests' temporaries, _corner's one
+    temporary and the fixed numpy and Python overhead.  The buffers are
+    per call, not per pair, so this over-counts batches.  Measured
+    single-pair peaks are 0.75-0.96 of this at d = 1-5 on 64-1024 cells a
+    side, 512 x 64 and 64 x 512.  In the coupled sweep every per-column
+    array of the row step but the product matrices P_l has
+    k = N(d, m-1) coefficients, and only V, the
     increments and the weight block are sized by N (see the module
     docstring).  Per grid column, of which it counts max(N_x, N_y) + 1, it
     holds 8k values of state rows, row adjoints and the per-level
@@ -313,7 +333,8 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
 
     u is 1 on both boundary edges; phi along the j=0 edge carries the
     running signature of the first path minus 1, psi along the i=0 edge
-    the same for the second path; the opposite edges are 0.
+    the same for the second path; the opposite edges are 0.  Raises
+    NumericError where a running signature overflows.
     """
     _check_pair(px, py)
     d, m = px.dim, px.degree
@@ -326,11 +347,12 @@ def init_boundaries(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath) -> Gours
     psi = np.full((nx + 1, ny + 1, n), np.nan)
     phi[0, :, :] = 0.0
     psi[:, 0, :] = 0.0
-    phi[:, 0, :] = _partials(d, m, px.increments)
-    psi[0, :, :] = _partials(d, m, py.increments)
+    phi[:, 0, :] = _partial_rows(px)
+    psi[0, :, :] = _partial_rows(py)
     return GoursatState(d, m, u, phi, psi, px.increments, py.increments)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def step(state: GoursatState, i: int, j: int) -> None:
     """Advance one cell, filling corner (i+1, j+1) from its three neighbors.
 
@@ -338,7 +360,10 @@ def step(state: GoursatState, i: int, j: int) -> None:
     it on every cell, and the vectorized sweeps of solve_pairs() perform
     the same arithmetic; all take u at the new corner from _corner.  The
     cell's increments x_i and y_j come from the state, and the curvature
-    correction compares them with x_{i-1} and y_{j-1} there.
+    correction compares them with x_{i-1} and y_{j-1} there, so a cell
+    reads the gate flags of those four intervals only.  Computes with
+    overflow warnings off and raises NumericError when u at the new corner
+    is not finite; a non-finite phi or psi there makes it NaN.
     """
     d, m = state.dim, state.degree
     u, phi, psi = state.u, state.phi, state.psi
@@ -366,11 +391,15 @@ def step(state: GoursatState, i: int, j: int) -> None:
 
     g = [phi[k] @ rxy + psi[k] @ ryx
          for k in ((i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1))]
-    pure_x, rep_x = _gate_flags(X[:, 1:1 + d], X[:, 1 + d:])
-    pure_y, rep_y = _gate_flags(Y[:, 1:1 + d], Y[:, 1 + d:])
-    ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] and pure_y[j] else 0.0
-    dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] and pure_x[i] else 0.0
-    u[i + 1, j + 1] = _corner(u[i, j], u[i, j + 1], u[i + 1, j], 0.5 * c, g, ds + dt)
+    # the flags of intervals i-1, i and j-1, j: the last row of each is
+    # the cell's own
+    xs, ys = X[max(i - 1, 0):i + 1], Y[max(j - 1, 0):j + 1]
+    pure_x, rep_x = _gate_flags(xs[:, 1:1 + d], xs[:, 1 + d:])
+    pure_y, rep_y = _gate_flags(ys[:, 1:1 + d], ys[:, 1 + d:])
+    ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[-1] and pure_y[-1] else 0.0
+    dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[-1] and pure_x[-1] else 0.0
+    u[i + 1, j + 1] = _finite(_corner(u[i, j], u[i, j + 1], u[i + 1, j], 0.5 * c, g, ds + dt),
+                              _OVERFLOW)
 
 
 def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
@@ -386,21 +415,20 @@ def solve(px: PiecewiseAbelianPath, py: PiecewiseAbelianPath,
     With keep_state the grids come from the per-cell reference at every
     degree: init_boundaries, then step() on each cell in row-major order,
     and the value is the far corner of the u grid.  It agrees with the
-    sweeps to rounding.  It costs 0.12-0.15 ms per cell at d = 2 (one
-    x86-64 core, numpy 2.4), 25-160 times the sweep of the values alone:
-    12 ms on 9 x 9 cells at m = 1, 31 ms on 16 x 16 and 0.57 s on 64 x 64
-    at m = 3.  step() reads a NaN as a cell not yet computed, so the loop
-    stops at the first corner whose u is not finite.  Raises NumericError
-    when the kernel value overflows.
+    sweeps to rounding.  It costs 0.09-0.13 ms per cell at d = 2 (one
+    x86-64 core, numpy 2.4), 45-160 times the sweep of the values alone:
+    7.7 ms on 9 x 9 cells at m = 1, 33 ms on 16 x 16, 0.30 s on 48 x 48
+    and 0.54 s on 64 x 64 at m = 3.  step() raises at the first corner
+    whose u is not finite, so the loop stops there: NumericError when the
+    kernel value overflows, or when a running signature of the boundary
+    does.
     """
     if not keep_state:
         return KernelSolution(float(solve_pairs([px], [py])[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = init_boundaries(px, py)
-        for i in range(px.n_intervals):
-            for j in range(py.n_intervals):
-                step(state, i, j)
-                _finite(state.u[i + 1, j + 1], _OVERFLOW)
+    state = init_boundaries(px, py)
+    for i in range(px.n_intervals):
+        for j in range(py.n_intervals):
+            step(state, i, j)
     return KernelSolution(float(state.u[-1, -1]), state)
 
 
@@ -605,28 +633,44 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     its cells depend only on earlier anti-diagonals, so the result equals
     the row-major sweep.  No N_x x N_y array is formed: the half
     coefficients h = <x_i, y_j>/2 of K consecutive anti-diagonals
-    (_diagonal_block) are built at once, over the x indices their cells
-    span, as one contiguous block.  The block is one multiply-add per
-    coordinate of the halved x increments by a window view of a reversed,
-    zero-padded copy of the y increments, summed in the order k = 0..d-1,
-    so a pair gets the same bits alone and in any batch.  Only the last
-    four anti-diagonals of corners are kept, as four (B, N_x+2) buffers
-    indexed by 1 + the x index of the corner; boundary corners are never
-    written and stay 1.  When no interval of any pair repeats its
-    neighbour (sampled Brownian paths, say), no cell can fire and the
-    per-diagonal gate tests are skipped.  The sweep runs in the dtype of
-    the increments.  With a grid (B = 1, shape (N_x+1, N_y+1)) every
-    corner is also written there.
+    (_diagonal_block) are built at once, over the x indices [first, last)
+    their cells span, as one contiguous block.  The block is one
+    multiply-add per coordinate of the halved x increments by a window
+    view of a reversed, zero-padded copy of the y increments, summed in
+    the order k = 0..d-1, so a pair gets the same bits alone and in any
+    batch.  Only the last four anti-diagonals of corners are kept, as four
+    (B, N_x+2) buffers indexed by 1 + the x index of the corner; they
+    rotate, so anti-diagonal q reads and writes the views that the block
+    builds once for q % 4.
+
+    Every anti-diagonal of a block is evaluated over the block's whole
+    range [first, last), in place into the view of the new anti-diagonal.
+    A cell (i, j) of the range outside the grid reads h = 0 from the zero
+    padding.  Where j < 0, all its corners lie in columns <= 0, which start
+    at 1 and stay 1, since (1 + 1 - 1) + 0*(...) = 1 and its curvature
+    terms are 0.  Where j >= N_y, it writes a corner past column N_y,
+    which no cell of the grid reads.  So boundary corners stay 1, and the
+    grid's cells get the bits of the per-cell update.
+
+    When no interval of any pair repeats its neighbour (sampled Brownian
+    paths, say), no cell can fire and the gate tests are skipped; else
+    the fired flags of the block's range come from rep_x and from a
+    reversed, False-padded copy of rep_y laid out like the y copy, and an
+    anti-diagonal with no fired cell in the range skips the curvature
+    terms.  The sweep runs in the dtype of the increments.  With a grid
+    (B = 1, shape (N_x+1, N_y+1)) every corner of the grid is also
+    written there.
     """
     B, nx, d = X.shape
     ny = Y.shape[1]
     if not (nx and ny):
         return np.ones(B, dtype=X.dtype)
     K = _diagonal_block(nx, ny)
+    diagonals = nx + ny - 1
     width = min(nx, ny + K - 1)                # x indices a block spans at most
     # xh[:, k, i] is x_i[k]/2, and yr[:, k, K + ny - 2 - j] is y_j[k], with
-    # K - 1 zeros before and width - 1 after: cell (i, p - i) reads
-    # yr[:, k, K + ny - 2 - p + i], which runs forwards along i
+    # K - 1 zeros before and width - 1 after: cell (i, q - i) reads
+    # yr[:, k, K + ny - 2 - q + i], which runs forwards along i
     xh = 0.5 * np.ascontiguousarray(X.transpose(0, 2, 1))
     yr = np.zeros((B, d, ny + K - 2 + width), dtype=Y.dtype)
     yr[..., K - 1:K - 1 + ny] = Y[:, ::-1].transpose(0, 2, 1)
@@ -634,38 +678,48 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     _, rep_x = _gate_flags(X, X[..., :0])
     _, rep_y = _gate_flags(Y, Y[..., :0])
     gated = bool(rep_x.any() or rep_y.any())
-    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=X.dtype)
-    last_p = -1                                 # the last anti-diagonal of the block
-    for p in range(nx + ny - 1):
-        lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
-        if p > last_p:
-            # anti-diagonals p..last_p over x indices first..last-1, last one
-            # first: hb[:, last_p - q, i - first] is h of cell (i, q - i)
-            hb = None                           # free the last block first: peak memory
-            last_p = min(p + K, nx + ny - 1) - 1
-            first, last = lo, min(nx - 1, last_p) + 1
-            start = K + ny - 2 - last_p + first
-            win = windows[:, :, start:start + last_p - p + 1, :last - first]
-            hb = xh[:, 0, None, first:last] * win[:, 0]
-            for k in range(1, d):
-                hb += xh[:, k, None, first:last] * win[:, k]
-        cells = slice(lo + 1, hi + 1)
-        up = slice(lo + 2, hi + 2)
-        u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
-        curv = None
+    if gated:
+        ry = np.zeros((B, ny + K - 2 + width), dtype=bool)
+        ry[:, K - 1:K - 1 + ny] = rep_y[:, ::-1]
+        fire_windows = np.lib.stride_tricks.sliding_window_view(ry, width, axis=1)
+    bufs = np.ones((4, B, nx + 2), dtype=X.dtype)
+    for p in range(0, diagonals, K):
+        # anti-diagonals p..last_p over x indices first..last-1, last one
+        # first: hb[:, last_p - q, i - first] is h of cell (i, q - i)
+        last_p = min(p + K, diagonals) - 1
+        first, last = max(0, p - ny + 1), min(nx - 1, last_p) + 1
+        start = K + ny - 2 - last_p + first
+        hb = h = None                           # free the last block, which h views: peak memory
+        win = windows[:, :, start:start + last_p - p + 1, :last - first]
+        hb = xh[:, 0, None, first:last] * win[:, 0]
+        for k in range(1, d):
+            hb += xh[:, k, None, first:last] * win[:, k]
+        # anti-diagonal q reads u00, u01, u10 and the D_s, D_t corners of the
+        # one before from the buffers (q+1, q+2, q+2, q, q) % 4 and writes
+        # the new corners into buffer (q+3) % 4
+        at0, at1, at2 = (list(bufs[..., first + s:last + s]) for s in range(3))
+        views = [(at1[(r + 1) % 4], at1[(r + 2) % 4], at2[(r + 2) % 4], at2[(r + 3) % 4],
+                  at0[r], at1[r]) for r in range(4)]
+        # per anti-diagonal, its y flags, or None where no cell of the range fires
+        fire_t_rows = repeat(None)
         if gated:
-            # cell (i, p - i) reads y interval p - i, so y runs backwards
-            fire_s, fire_t = rep_x[:, lo:hi], rep_y[:, p - hi + 1:p - lo + 1][:, ::-1]
-            if fire_s.any() or fire_t.any():
-                curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
-                        + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
-        new[:, up] = _corner(u00, u01, u10, hb[:, last_p - p, lo - first:hi - first],
-                             curv=curv)
-        if grid is not None:
-            ii = np.arange(lo, hi)
-            grid[ii + 1, p - ii + 1] = new[0, up]
-        before, u0, u1, new = u0, u1, new, before
-    return u1[:, nx + 1]
+            fire_s = rep_x[:, first:last]
+            fire_t = fire_windows[:, start:start + last_p - p + 1, :last - first]
+            fires = (fire_t | fire_s[:, None]).any(axis=(0, 2))[::-1].tolist()
+            fire_t_rows = [t if f else None
+                           for f, t in zip(fires, fire_t.transpose(1, 0, 2)[::-1])]
+        for q, h, fire_tq in zip(range(p, last_p + 1), hb.transpose(1, 0, 2)[::-1],
+                                 fire_t_rows):
+            u00, u01, u10, new, before_s, before_t = views[q % 4]
+            curv = None
+            if fire_tq is not None:
+                curv = (np.where(fire_s, (u10 + before_s) - 2.0 * u00, 0.0)
+                        + np.where(fire_tq, (u01 + before_t) - 2.0 * u00, 0.0))
+            _corner(u00, u01, u10, h, curv=curv, out=new)
+            if grid is not None:
+                ii = np.arange(max(0, q - ny + 1), min(nx - 1, q) + 1)
+                grid[ii + 1, q - ii + 1] = new[0, ii - first]
+    return bufs[(diagonals + 2) % 4, :, nx + 1]
 
 
 def solve_order1(increments_x: Sequence[Sequence[float]],

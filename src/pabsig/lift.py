@@ -305,11 +305,17 @@ def build_pab(ts: TimeSeries, partition: Sequence[float], m: int) -> PiecewiseAb
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _partial_rows(p: PiecewiseAbelianPath) -> np.ndarray:
+    """tensors._partials of the increments of p, G_i - 1 for i = 0..N;
+    raises NumericError where they overflow."""
+    return _finite(_partials(p.dim, p.degree, p.increments),
+                   f"degree-{p.degree} partial signature overflows: path increments are too large")
+
+
 def pab_partial_signatures(p: PiecewiseAbelianPath) -> List[TruncTensor]:
     """Running products G_i = exp(L_0) (x) ... (x) exp(L_{i-1}), G_0 = 1;
     raises NumericError where they overflow."""
-    rows = _finite(_partials(p.dim, p.degree, p.increments),
-                   f"degree-{p.degree} partial signature overflows: path increments are too large")
+    rows = _partial_rows(p)
     rows[:, 0] = 1.0
     return [TruncTensor(p.dim, p.degree, g) for g in rows]
 

@@ -212,7 +212,8 @@ def skewed_sweep_order1(X, Y, grid=None):
     """goursat._sweep_order1 as it was before its grid-free form: the full
     (B, N_x, N_y) grid of cell coefficients X @ Y^T, read one anti-diagonal
     at a time through a read-only skewed view of its buffer and halved per
-    anti-diagonal.  The old form that tools/time_sweep.py times against."""
+    anti-diagonal.  The memory test of the grid-free sweep weighs its peak
+    against this one's."""
     c = np.ascontiguousarray(X @ Y.transpose(0, 2, 1))
     B, nx, ny = c.shape
     # cs[:, p, i] is c[:, i, p - i].  c is C-contiguous, so within a pair
@@ -238,6 +239,58 @@ def skewed_sweep_order1(X, Y, grid=None):
                 curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
                         + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
         new[:, up] = goursat._corner(u00, u01, u10, 0.5 * cs[:, p, lo:hi], curv=curv)
+        if grid is not None:
+            ii = np.arange(lo, hi)
+            grid[ii + 1, p - ii + 1] = new[0, up]
+        before, u0, u1, new = u0, u1, new, before
+    return u1[:, nx + 1]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def sliced_sweep_order1(X, Y, grid=None):
+    """goursat._sweep_order1 as it was before it evaluated each
+    anti-diagonal over its whole block's x range: the same blocks of half
+    coefficients, but every anti-diagonal sliced to its own cells, with
+    the slices of the u buffers and of the gate flags taken per
+    anti-diagonal.  The bitwise reference of the scalar sweep, and the old
+    form that tools/time_sweep.py times against."""
+    B, nx, d = X.shape
+    ny = Y.shape[1]
+    if not (nx and ny):
+        return np.ones(B, dtype=X.dtype)
+    K = goursat._diagonal_block(nx, ny)
+    width = min(nx, ny + K - 1)
+    xh = 0.5 * np.ascontiguousarray(X.transpose(0, 2, 1))
+    yr = np.zeros((B, d, ny + K - 2 + width), dtype=Y.dtype)
+    yr[..., K - 1:K - 1 + ny] = Y[:, ::-1].transpose(0, 2, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(yr, width, axis=2)
+    _, rep_x = goursat._gate_flags(X, X[..., :0])
+    _, rep_y = goursat._gate_flags(Y, Y[..., :0])
+    gated = bool(rep_x.any() or rep_y.any())
+    before, u0, u1, new = np.ones((4, B, nx + 2), dtype=X.dtype)
+    last_p = -1
+    for p in range(nx + ny - 1):
+        lo, hi = max(0, p - ny + 1), min(nx - 1, p) + 1
+        if p > last_p:
+            hb = None
+            last_p = min(p + K, nx + ny - 1) - 1
+            first, last = lo, min(nx - 1, last_p) + 1
+            start = K + ny - 2 - last_p + first
+            win = windows[:, :, start:start + last_p - p + 1, :last - first]
+            hb = xh[:, 0, None, first:last] * win[:, 0]
+            for k in range(1, d):
+                hb += xh[:, k, None, first:last] * win[:, k]
+        cells = slice(lo + 1, hi + 1)
+        up = slice(lo + 2, hi + 2)
+        u00, u01, u10 = u0[:, cells], u1[:, cells], u1[:, up]
+        curv = None
+        if gated:
+            fire_s, fire_t = rep_x[:, lo:hi], rep_y[:, p - hi + 1:p - lo + 1][:, ::-1]
+            if fire_s.any() or fire_t.any():
+                curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
+                        + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
+        new[:, up] = goursat._corner(u00, u01, u10, hb[:, last_p - p, lo - first:hi - first],
+                                     curv=curv)
         if grid is not None:
             ii = np.arange(lo, hi)
             grid[ii + 1, p - ii + 1] = new[0, up]

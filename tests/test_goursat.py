@@ -33,6 +33,7 @@ from helpers import (
     refine_pab,
     series_with_variation,
     skewed_sweep_order1,
+    sliced_sweep_order1,
 )
 
 
@@ -97,6 +98,19 @@ def test_init_boundaries_dim_mismatch():
         init_boundaries(rand_pab(rng, 2, 2, 2), rand_pab(rng, 3, 2, 2))
     with pytest.raises(ShapeMismatchError):
         init_boundaries(rand_pab(rng, 2, 2, 2), rand_pab(rng, 2, 3, 2))
+
+
+def test_init_boundaries_and_step_overflow_raise_numeric_error():
+    # both compute with overflow warnings off (a RuntimeWarning fails the
+    # suite) and raise NumericError: init_boundaries where a running
+    # signature overflows, step() where u at the new corner does
+    p = PiecewiseAbelianPath(1, 2, [0, 1, 2], [[0, 1e154, 0]] * 2)
+    with pytest.raises(NumericError, match="^degree-2 partial signature overflows"):
+        init_boundaries(p, p)
+    big = PiecewiseAbelianPath(2, 2, [0, 1], [[0, 1e120, 0, 0, 0, 0, 0]])
+    state = init_boundaries(big, big)
+    with pytest.raises(NumericError, match="the sweep overflowed"):
+        step(state, 0, 0)
 
 
 def test_step_single_cell_unit_dot():
@@ -441,11 +455,16 @@ def test_solve_order1_grids_match_row_major_reference_bitwise():
         assert same_bits(solve_order1(a, b, keep_state=True).state.u, grid)
 
 
-@pytest.mark.parametrize("K", [1, 2, 5])
+@pytest.mark.parametrize("K", [1, 2, 5, 64])
 def test_scalar_sweep_blocks_match_row_major_reference_bitwise(monkeypatch, K):
     # blocks of K anti-diagonals end inside every shape above one cell; each
     # must give the row-major grid and value bit for bit, alone and in a
-    # batch with the other repeat patterns of its shape
+    # batch with the other repeat patterns of its shape.  From K = 2 on,
+    # the anti-diagonals of a block run past the grid on both sides of
+    # their own cells, over the block's x range, and K = 64 takes every
+    # anti-diagonal of these shapes, 1 x N and N x 1 among them, in one
+    # block.  In np.longdouble, which the row-major reference does not
+    # run in, the sweep must give the bits of its per-diagonal form.
     monkeypatch.setattr(goursat, "_diagonal_block", lambda nx, ny: K)
     # at d = 3 the order of the coordinate sum shows in the bits
     rng = np.random.default_rng(35)
@@ -458,9 +477,29 @@ def test_scalar_sweep_blocks_match_row_major_reference_bitwise(monkeypatch, K):
         assert same_bits(solve_order1(a, b).value, want[-1, -1])
         by_shape.setdefault((len(a), len(b)), []).append((a, b, want[-1, -1]))
     for cases in by_shape.values():
-        got = goursat._sweep_order1(np.stack([a for a, _, _ in cases]),
-                                    np.stack([b for _, b, _ in cases]))
+        X, Y = np.stack([a for a, _, _ in cases]), np.stack([b for _, b, _ in cases])
+        got = goursat._sweep_order1(X, Y)
         assert same_bits(got, [v for _, _, v in cases])
+        X, Y = X.astype(np.longdouble), Y.astype(np.longdouble)
+        got = goursat._sweep_order1(X, Y)
+        want = sliced_sweep_order1(X, Y)
+        assert got.dtype == want.dtype == np.longdouble
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_corner_writes_into_out_bitwise():
+    # _corner(..., out=buf) evaluates the same operations as the value form
+    # into buf and returns it, with and without adjoint and curvature terms
+    rng = np.random.default_rng(36)
+    u00, u01, u10 = (1.0 + rng.standard_normal((2, 9)) for _ in range(3))
+    h = 0.3 * rng.standard_normal((2, 9))
+    g = rng.standard_normal((4, 2, 9))
+    curv = rng.standard_normal((2, 9))
+    for terms in ({}, {"g": g}, {"curv": curv}, {"g": g, "curv": curv}):
+        buf = np.full((2, 9), np.nan)
+        got = goursat._corner(u00, u01, u10, h, out=buf, **terms)
+        assert got is buf
+        assert same_bits(buf, goursat._corner(u00, u01, u10, h, **terms))
 
 
 def test_curvature_correction_fires_on_repeated_increments():

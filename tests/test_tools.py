@@ -61,14 +61,15 @@ def test_time_sweep_prints_time_and_deviation_rows():
     assert out.returncode == 0, out.stderr
     rows = [line for line in out.stdout.splitlines() if line.startswith("   64^2 ")]
     assert len(rows) == 2
-    # the time row ends with the tracemalloc peak of each form: the skewed
-    # form's holds the 64 x 64 grid of coefficients (32 kB)
+    # the time row ends with the tracemalloc peak of each form
     fields = rows[0].split()
     assert fields[-1] == fields[-3] == "MB"
-    assert float(fields[-4]) >= 0.03 and 0.0 < float(fields[-2])
-    # the deviation row: median (largest) of each form, below 1e-13
+    assert 0.0 < float(fields[-4]) and 0.0 < float(fields[-2])
+    # the deviation row: median (largest) of each form, below 1e-13, and
+    # equal, since both forms give the same bits
     devs = [float(f.strip("()")) for f in rows[1].split()[1:]]
     assert len(devs) == 4 and all(0.0 <= v < 1e-13 for v in devs)
+    assert devs[:2] == devs[2:]
 
 
 def test_time_sweep_exits_1_on_a_worse_rounding_grid_free_form():
@@ -83,7 +84,7 @@ def test_time_sweep_exits_1_on_a_worse_rounding_grid_free_form():
     out = run_patched(patch, "time_sweep.py", "--best", "1", "--rounds", "1",
                       "--pairs", "8", "--size", "16")
     assert out.returncode == 1, out.stderr
-    assert "exceeds 4x the skewed form's at 16^2" in out.stdout
+    assert "exceeds 4x the sliced form's at 16^2" in out.stdout
 
 
 def test_time_sweep_exits_2_on_too_few_pairs_for_a_verdict():

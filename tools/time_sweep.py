@@ -1,27 +1,31 @@
-"""Time the grid-free scalar sweep against the sweep over the full grid of
-cell coefficients, and measure the memory and the rounding of each.
+"""Time the scalar sweep, which evaluates each anti-diagonal over its
+block's x range, against the sweep that sliced each anti-diagonal to its
+own cells, and measure the memory and the rounding of each.
 
     python tools/time_sweep.py [--best N] [--rounds R] [--pairs P] [--size S ...]
 
 For each grid size S (S x S cells), times goursat.solve_order1 on one pair
-twice: as it is, with goursat._sweep_order1 building blocks of
-anti-diagonals of coefficients, and with tests/helpers.skewed_sweep_order1,
-which holds the whole (N_x, N_y) grid X @ Y^T and reads it through a
-skewed view, bound in place of goursat._sweep_order1.
+twice: as it is, with goursat._sweep_order1 evaluating every anti-diagonal
+of a block of coefficients over the block's whole x range, in place, with
+the views of its u buffers built once per block, and with
+tests/helpers.sliced_sweep_order1, which slices the u buffers, the
+coefficients and the gate flags to each anti-diagonal's own cells, bound
+in place of goursat._sweep_order1.  Both give the same bits.
 tools/abtime.compare times them: a round takes the best of N timings of
 each, alternating which goes first; each timing repeats the call enough
 times to last about 20 ms.  The script prints, per size, the median over
 the rounds of both best times, the median [quartiles] of the time ratio,
-grid-free over skewed, so a ratio below 1 is a gain, and the tracemalloc
+blocked over sliced, so a ratio below 1 is a gain, and the tracemalloc
 peak of one call of each.
 
 It then runs both forms on P pairs of 2-D Brownian paths of S steps on
 [0, 1] (experiment.simulate_bm, seeds 2s and 2s+1 for s = 0..P-1) and
-prints the median and the largest deviation of each from the grid-free
-sweep run on the increments in np.longdouble, |u - u_ld| / max(1, |u_ld|)
-at the far corner.  Brownian increments never repeat, so the curvature
-correction does not fire.  The exit status is 1 if the grid-free form's
-median deviation exceeds 4 times the skewed form's at some size, else 0.
+prints the median and the largest deviation of each from the library's
+sweep run on the increments in np.longdouble,
+|u - u_ld| / max(1, |u_ld|) at the far corner.  Brownian increments never
+repeat, so the curvature correction does not fire.  The exit status is 1
+if the blocked form's median deviation exceeds 4 times the sliced form's
+at some size, else 0.
 The deviations are a few ulps, so a median over few pairs is noise: at
 64^2 the ratio of the medians read 8.5 on 2 pairs, 2.2-2.9 on 4 pairs at
 32^2-64^2, and 1.15-1.75 on 8 pairs at 16^2-128^2.  So the script takes
@@ -37,17 +41,17 @@ import tracemalloc
 import abtime  # before numpy: one BLAS thread, src/ and tests/ on sys.path
 
 import numpy as np
-from helpers import skewed_sweep_order1
+from helpers import sliced_sweep_order1
 from pabsig import goursat
 from pabsig.experiment import simulate_bm
 
 SIZES = (128, 256, 512, 1024)
-# A grid-free form whose median deviation passes this many times the
-# skewed form's rounds worse than the sweep it replaces.
+# A blocked form whose median deviation passes this many times the
+# sliced form's rounds worse than the sweep it replaces.
 DEVIATION_LIMIT = 4.0
 # Fewest pairs whose median deviation the limit is judged on.
 VERDICT_PAIRS = 8
-FORMS = {"old": skewed_sweep_order1, "new": goursat._sweep_order1}
+FORMS = {"old": sliced_sweep_order1, "new": goursat._sweep_order1}
 
 
 def _solve(which, X, Y):
@@ -81,8 +85,8 @@ def time_size(n, best, rounds):
 
 
 def deviations(n, pairs):
-    """Median and largest deviation of the skewed and of the grid-free form
-    from the grid-free sweep in np.longdouble over `pairs` Brownian pairs."""
+    """Median and largest deviation of the sliced and of the blocked form
+    from the library's sweep in np.longdouble over `pairs` Brownian pairs."""
     dev = {"old": [], "new": []}
     for s in range(pairs):
         X, Y = _increments(n, 2 * s), _increments(n, 2 * s + 1)
@@ -107,13 +111,13 @@ def main(argv):
     if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
         print("warning: np.longdouble is float64 here; the deviations measure nothing",
               file=sys.stderr)
-    print(f"{'cells':7} {'skewed':>14} {'grid-free':>14}   new/old median [quartiles]"
-          f" {'peak skewed':>13} {'grid-free':>11}")
+    print(f"{'cells':7} {'sliced':>14} {'blocked':>14}   new/old median [quartiles]"
+          f" {'peak sliced':>13} {'blocked':>11}")
     for n in sizes:
         time_size(n, args.best, args.rounds)
     print(f"\ndeviation from np.longdouble, {args.pairs} Brownian pairs:"
           f" median (largest)")
-    print(f"{'cells':7} {'skewed':>22} {'grid-free':>22}")
+    print(f"{'cells':7} {'sliced':>22} {'blocked':>22}")
     worse = []
     for n in sizes:
         dev = deviations(n, args.pairs)
@@ -122,8 +126,8 @@ def main(argv):
         if dev["new"][0] > DEVIATION_LIMIT * dev["old"][0]:
             worse.append(n)
     if worse:
-        print(f"grid-free form's median deviation exceeds {DEVIATION_LIMIT:g}x the"
-              f" skewed form's at {', '.join(f'{n}^2' for n in worse)}")
+        print(f"blocked form's median deviation exceeds {DEVIATION_LIMIT:g}x the"
+              f" sliced form's at {', '.join(f'{n}^2' for n in worse)}")
         return 1
     return 0
 
