@@ -26,15 +26,23 @@ h = c/2, the u parts of f_1 + f_2 + f_3 + f_4 sum to
 c*(u[i,j] + s) + c*A + c^2*u[i,j] = 2c*s + c^2*u[i,j], and g_1 enters
 twice, once through the predictor.  So the update is, in exact arithmetic,
 
-    u[i+1,j+1] = (s - u[i,j]) + h*(s + h*u[i,j])
+    u[i+1,j+1] = (1 + h)*s + (h*h - 1)*u[i,j]
                  + ((1 + c)*g_1 + g_2 + g_3 + g_4)/4 - <x,y>/12 * (D_s + D_t),
 
-which is the form _corner evaluates.  It takes the half coefficient h,
-which each caller forms once: step() per cell, the coupled sweep per
-block of rows and the scalar sweep per block of anti-diagonals.  Since
-h + h and h/6 are exactly c and c/12 (barring subnormal c), taking h
-changes no bits.  The form rounds differently from the four-point sum by
-a few ulps of the terms.
+which is the form _corner evaluates: the u part is one affine combination
+of s and u[i,j], whose weights a = 1 + h and b = h*h - 1 depend on the
+cell alone.  It takes the half coefficient h, which each caller forms
+once: step() per cell, the coupled sweep per block of rows and the scalar
+sweep, with a and b, per block of anti-diagonals.  Since h + h and h/6
+are exactly c and c/12 (barring subnormal c), taking h changes no bits.
+The form rounds differently from the four-point sum by a few ulps of the
+terms.  It also rounds differently from the nested form
+(s - u[i,j]) + h*(s + h*u[i,j]) of the same update, which takes six
+array operations where this one takes four.  On 16-32 Brownian pairs of
+32 x 32 to 128 x 128 cells, the scalar sweep's far corner lies a median
+1.4-1.6 times as far from its own np.longdouble run with this form as
+with the nested one, every deviation below 7e-14; tests/test_goursat.py
+holds the median ratio within 4.
 
 The last term removes the O(h^2) error -(c/12)(u_ss + u_tt) that the
 four-point (trapezoid) rule leaves on a cell whose integrand is c*u, i.e.
@@ -92,16 +100,19 @@ which outgrow k: 27 values per column against k = 13 at d=3, m=3, and
 351 against 40 at d=3, m=4.  Only the
 (B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
 coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
-The scalar sweep keeps no N_x x N_y array: it holds a block of the half
-coefficients of K <= 64 anti-diagonals (N_y/5 of them, or enough for 512
-coefficients on small shapes), (B, K, <= N_x), with a
-product temporary and numpy's two iteration buffers of at most its size;
-the halved x increments and a reversed, zero-padded copy of the y
-increments, O((N_x + N_y) d) values, and where some interval repeats its
-neighbour a reversed, False-padded copy of the y repeat flags; four
-anti-diagonals of u, which _corner updates in place; and one temporary
-u10 + u01 of the block's width per anti-diagonal.  The full grids exist
-only when asked for, and then come from step().
+The scalar sweep keeps no N_x x N_y array.  It holds two coefficient
+blocks of K <= 64 anti-diagonals (N_y/5 of them, or enough for 512
+coefficients on small shapes), (B, K, <= N_x) each: the weights 1 + h of
+_corner, formed in place over the half coefficients h, and h*h - 1.
+While the first is built it holds a product temporary and numpy's two
+iteration buffers of at most its size in place of the second.  Where
+some interval repeats its neighbour, a third block keeps h for the
+curvature terms, with a reversed, False-padded copy of the y repeat
+flags.  The rest is O(N_x + N_y): the halved x increments and a
+reversed, zero-padded copy of the y increments, O((N_x + N_y) d)
+values; four anti-diagonals of u, which _corner updates in place; and
+one row of the block's width for _corner's product (h*h - 1)*u00.  The
+full grids exist only when asked for, and then come from step().
 """
 
 from __future__ import annotations
@@ -192,18 +203,24 @@ def _gate_flags(level1: np.ndarray, higher: np.ndarray):
     paths).  pure[k] marks rows with no content above level 1; repeat[k]
     marks pure rows equal to the pure row k-1, i.e. intervals k-1 and k lie
     on the same linear piece.  Both hold up to rounding, relative to the
-    size of the level-1 part.
+    size of the level-1 part.  Rows without higher columns (the scalar
+    sweep's) are pure unless their size is NaN, as 0 <= 1e-12 * size
+    would have it.
     """
     size = np.abs(level1).max(axis=-1, initial=0.0)
-    pure = np.abs(higher).max(axis=-1, initial=0.0) <= _ROUNDING * size
-    gap = np.abs(np.diff(level1, axis=-2)).max(axis=-1, initial=0.0)
-    repeat = np.zeros_like(pure)
-    repeat[..., 1:] = (pure[..., 1:] & pure[..., :-1]
-                       & (gap <= _ROUNDING * np.maximum(size[..., 1:], size[..., :-1])))
+    if higher.shape[-1]:
+        pure = np.abs(higher).max(axis=-1, initial=0.0) <= _ROUNDING * size
+    else:
+        pure = size >= 0.0
+    gap = np.abs(level1[..., 1:, :] - level1[..., :-1, :]).max(axis=-1, initial=0.0)
+    repeat = np.zeros(pure.shape, bool)
+    np.logical_and(pure[..., 1:] & pure[..., :-1],
+                   gap <= _ROUNDING * np.maximum(size[..., 1:], size[..., :-1]),
+                   repeat[..., 1:])
     return pure, repeat
 
 
-def _corner(u00, u01, u10, h, g=None, curv=None, out=None):
+def _corner(u00, u01, u10, h, g=None, curv=None, out=None, ab=None, tmp=None):
     """u at the new corner (i+1, j+1) of cells with h = c/2, c = <x_i, y_j>.
 
     The one cell update, elementwise on floats or on arrays of cells.  It
@@ -212,10 +229,13 @@ def _corner(u00, u01, u10, h, g=None, curv=None, out=None):
     (i, j+1), (i+1, j); g holds the
     adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> there and at the new
     corner, or None at degree 1, where they vanish; curv is the fired
-    D_s + D_t, or None where no cell fires.  With out, an array of the
-    cells' shape that aliases no input, the update is written there and
-    out is returned; at degree 1 without curv it then allocates one
-    temporary, u10 + u01, where the value form allocates six.
+    D_s + D_t, or None where no cell fires.  ab is the pair (1 + h,
+    h*h - 1) when the caller has formed it, as the scalar sweep does once
+    per block; h is then read only by the g and curv terms, and may be
+    None without them.  With out, an array of the cells' shape that
+    aliases no input, the update is written there and out is returned;
+    with tmp as well, a second such array, the degree-1 update without
+    curv allocates nothing.
 
     The predictor-corrector average a + (f1 + f2 + f3 + f4)/4, with
     a = u10 + u01 - u00, f1..f3 = c*u00 + g[0], c*u01 + g[1], c*u10 + g[2]
@@ -224,20 +244,20 @@ def _corner(u00, u01, u10, h, g=None, curv=None, out=None):
     s = u10 + u01, and g[0] enters twice, once through f4.  So it is, in
     exact arithmetic,
 
-        u' = (s - u00) + h*(s + h*u00)
+        u' = (1 + h)*s + (h*h - 1)*u00
              + ((1 + h + h)*g[0] + g[1] + g[2] + g[3])/4 - (h/6)*curv,
 
-    which is the form evaluated here: 6 array operations at degree 1, the
-    same with and without out, since IEEE sums and products do not depend
-    on the order of their operands.  h + h and h/6 are exactly c and c/12
-    unless c is subnormal.
+    which is the form evaluated here: 4 array operations at degree 1 once
+    the two weights are formed, the same with and without out, since IEEE
+    sums and products do not depend on the order of their operands.  On
+    the basis inputs the u part is exactly 1 + h, 1 + h, h*h - 1 and +0,
+    the weights of _weights.  h + h and h/6 are exactly c and c/12 unless
+    c is subnormal.
     """
-    s = u10 + u01
-    u = np.multiply(h, u00, out=out)
-    u = np.add(s, u, out=out)
-    u = np.multiply(h, u, out=out)
-    s -= u00
-    u = np.add(s, u, out=out)
+    a, b = (1.0 + h, h * h - 1.0) if ab is None else ab
+    u = u10 + u01 if out is None else np.add(u10, u01, out)
+    u = np.multiply(a, u, out)
+    u = np.add(u, np.multiply(b, u00, tmp), out)
     if g is not None:
         u = np.add(u, 0.25 * (((1.0 + (h + h)) * g[0] + g[1]) + (g[2] + g[3])), out=out)
     if curv is not None:
@@ -254,10 +274,13 @@ def _weights(h, fire_s=None):
     + w00 u00 + wg0 g[0] + (g[1] + g[2] + g[3])/4
     + _corner(0, 0, 0, h, None, rest), where rest is curv without the u10
     of D_s in the cells fire_s marks.  Each weight is _corner on basis
-    inputs, on the block of h that the coupled sweep halves once.
+    inputs, on the block of h that the coupled sweep halves once, with
+    _corner's own two weights formed once for all four.
     """
-    return (_corner(0.0, 0.0, 1.0, h, None, fire_s), _corner(0.0, 1.0, 0.0, h),
-            _corner(1.0, 0.0, 0.0, h), _corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0)))
+    ab = (1.0 + h, h * h - 1.0)
+    return (_corner(0.0, 0.0, 1.0, h, None, fire_s, ab=ab), _corner(0.0, 1.0, 0.0, h, ab=ab),
+            _corner(1.0, 0.0, 0.0, h, ab=ab),
+            _corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0), ab=ab))
 
 
 # Most anti-diagonals per block of cell coefficients in the scalar sweep.
@@ -292,17 +315,21 @@ def _diagonal_block(nx: int, ny: int) -> int:
 def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     """Values one pair of the shape adds to a sweep call's working set.
 
-    The scalar sweep holds 2 K w values of the block of K anti-diagonals,
-    w = min(N_x, N_y + K - 1) x indices wide, and of its product
-    temporary; numpy's two iteration buffers of the windowed multiply, each
-    the smaller of the block and np.getbufsize(); d (K + w) of the padding
-    of the y copy; and 2d + 12 per interval of either path: d + 1 of the
-    stacked increments, d of the halved x or the padded y copy, 4 of the u
-    diagonals and 7 for the gate tests' temporaries, _corner's one
-    temporary and the fixed numpy and Python overhead.  The buffers are
-    per call, not per pair, so this over-counts batches.  Measured
-    single-pair peaks are 0.75-0.96 of this at d = 1-5 on 64-1024 cells a
-    side, 512 x 64 and 64 x 512.  In the coupled sweep every per-column
+    The scalar sweep holds 2 K w values of the two weight blocks of K
+    anti-diagonals, w = min(N_x, N_y + K - 1) x indices wide, or of the
+    first block and its product temporary while it is built; numpy's two
+    iteration buffers of the windowed multiply, each the smaller of the
+    block and np.getbufsize(); d (K + w) of the padding of the y copy; and
+    2d + 12 per interval of either path: d + 1 of the stacked increments, d
+    of the halved x or the padded y copy, 4 of the u diagonals and 7 for
+    the gate tests' temporaries, _corner's row of products and the fixed
+    numpy and Python overhead.  The buffers are per call, not per pair, so
+    this over-counts batches.  Measured single-pair peaks are 0.63-0.98 of
+    this at d = 1, 2, 3, 5 on 64-1024 cells a side, 512 x 64 and 64 x 512.
+    Where some interval repeats its neighbour, the sweep also keeps h in a
+    third block, which this does not count: such pairs, refined 4 times,
+    peaked at 0.72-1.09 of it up to 256 cells a side and 1.15-1.26 at 512
+    and 1024.  In the coupled sweep every per-column
     array of the row step but the product matrices P_l has
     k = N(d, m-1) coefficients, and only V, the
     increments and the weight block are sized by N (see the module
@@ -638,28 +665,36 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     multiply-add per coordinate of the halved x increments by a window
     view of a reversed, zero-padded copy of the y increments, summed in
     the order k = 0..d-1, so a pair gets the same bits alone and in any
-    batch.  Only the last four anti-diagonals of corners are kept, as four
-    (B, N_x+2) buffers indexed by 1 + the x index of the corner; they
-    rotate, so anti-diagonal q reads and writes the views that the block
-    builds once for q % 4.
+    batch.  _corner's weights 1 + h and h*h - 1 are then formed once for
+    the whole block, the first in place over h and the second in one more
+    block, so that each anti-diagonal runs only _corner's four array
+    operations, into the new anti-diagonal and one preallocated row.  Only
+    the last four anti-diagonals of corners are kept, as four (B, N_x+2)
+    buffers indexed by 1 + the x index of the corner; they rotate, so
+    anti-diagonal q reads and writes the views that the block builds once
+    for q % 4.  The rows of the weights view their blocks, so every name
+    that holds one is cleared before the next block is built; a row left
+    over would keep its block alive through the next one.
 
     Every anti-diagonal of a block is evaluated over the block's whole
     range [first, last), in place into the view of the new anti-diagonal.
     A cell (i, j) of the range outside the grid reads h = 0 from the zero
-    padding.  Where j < 0, all its corners lie in columns <= 0, which start
-    at 1 and stay 1, since (1 + 1 - 1) + 0*(...) = 1 and its curvature
-    terms are 0.  Where j >= N_y, it writes a corner past column N_y,
-    which no cell of the grid reads.  So boundary corners stay 1, and the
-    grid's cells get the bits of the per-cell update.
+    padding, so its weights are exactly 1 and -1.  Where j < 0, all its
+    corners lie in columns <= 0, which start at 1 and stay 1, since
+    1*(1 + 1) - 1*1 = 1 and its curvature terms are 0.  Where j >= N_y,
+    it writes a corner past column N_y, which no cell of the grid reads.
+    So boundary corners stay 1, and the grid's cells get the bits of the
+    per-cell update.
 
     When no interval of any pair repeats its neighbour (sampled Brownian
     paths, say), no cell can fire and the gate tests are skipped; else
     the fired flags of the block's range come from rep_x and from a
     reversed, False-padded copy of rep_y laid out like the y copy, and an
     anti-diagonal with no fired cell in the range skips the curvature
-    terms.  The sweep runs in the dtype of the increments.  With a grid
-    (B = 1, shape (N_x+1, N_y+1)) every corner of the grid is also
-    written there.
+    terms.  Those read h, which then stays in a third block next to the
+    same two weight blocks.  The sweep runs in the dtype of the
+    increments.  With a grid (B = 1, shape (N_x+1, N_y+1)) every corner of
+    the grid is also written there.
     """
     B, nx, d = X.shape
     ny = Y.shape[1]
@@ -683,17 +718,29 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
         ry[:, K - 1:K - 1 + ny] = rep_y[:, ::-1]
         fire_windows = np.lib.stride_tricks.sliding_window_view(ry, width, axis=1)
     bufs = np.ones((4, B, nx + 2), dtype=X.dtype)
+    tmps = np.empty((B, width), dtype=X.dtype)
     for p in range(0, diagonals, K):
         # anti-diagonals p..last_p over x indices first..last-1, last one
-        # first: hb[:, last_p - q, i - first] is h of cell (i, q - i)
+        # first: h_blk[:, last_p - q, i - first] is h of cell (i, q - i)
         last_p = min(p + K, diagonals) - 1
         first, last = max(0, p - ny + 1), min(nx - 1, last_p) + 1
         start = K + ny - 2 - last_p + first
-        hb = h = None                           # free the last block, which h views: peak memory
+        # free the last blocks, which the rows of the loop view: peak memory
+        h_blk = a_blk = b_blk = h_rows = a = b = h = None
         win = windows[:, :, start:start + last_p - p + 1, :last - first]
-        hb = xh[:, 0, None, first:last] * win[:, 0]
+        h_blk = xh[:, 0, None, first:last] * win[:, 0]
         for k in range(1, d):
-            hb += xh[:, k, None, first:last] * win[:, k]
+            h_blk += xh[:, k, None, first:last] * win[:, k]
+        # _corner's weights h*h - 1 and 1 + h, the latter in place over h
+        # unless the curvature terms may read h
+        b_blk = np.multiply(h_blk, h_blk)
+        b_blk -= 1.0
+        if gated:
+            a_blk = h_blk + 1.0
+        else:
+            a_blk, h_blk = h_blk, None
+            a_blk += 1.0
+        tmp = tmps[:, :last - first]
         # anti-diagonal q reads u00, u01, u10 and the D_s, D_t corners of the
         # one before from the buffers (q+1, q+2, q+2, q, q) % 4 and writes
         # the new corners into buffer (q+3) % 4
@@ -708,14 +755,16 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
             fires = (fire_t | fire_s[:, None]).any(axis=(0, 2))[::-1].tolist()
             fire_t_rows = [t if f else None
                            for f, t in zip(fires, fire_t.transpose(1, 0, 2)[::-1])]
-        for q, h, fire_tq in zip(range(p, last_p + 1), hb.transpose(1, 0, 2)[::-1],
-                                 fire_t_rows):
+        h_rows = repeat(None) if h_blk is None else h_blk.transpose(1, 0, 2)[::-1]
+        for q, a, b, h, fire_tq in zip(range(p, last_p + 1), a_blk.transpose(1, 0, 2)[::-1],
+                                       b_blk.transpose(1, 0, 2)[::-1], h_rows, fire_t_rows):
             u00, u01, u10, new, before_s, before_t = views[q % 4]
             curv = None
             if fire_tq is not None:
-                curv = (np.where(fire_s, (u10 + before_s) - 2.0 * u00, 0.0)
-                        + np.where(fire_tq, (u01 + before_t) - 2.0 * u00, 0.0))
-            _corner(u00, u01, u10, h, curv=curv, out=new)
+                twice = 2.0 * u00
+                curv = (np.where(fire_s, (u10 + before_s) - twice, 0.0)
+                        + np.where(fire_tq, (u01 + before_t) - twice, 0.0))
+            _corner(u00, u01, u10, h, curv=curv, out=new, ab=(a, b), tmp=tmp)
             if grid is not None:
                 ii = np.arange(max(0, q - ny + 1), min(nx - 1, q) + 1)
                 grid[ii + 1, q - ii + 1] = new[0, ii - first]

@@ -198,10 +198,25 @@ def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     accumulate adds in sequence, exactly as the in-place updates did, and a
     zero increment past a run's end adds a product of +-0 to a sum that
     started at +0, which leaves it unchanged.  A lift by _exp and the
-    running product of tensors._partials instead was 3.7x slower.
+    running product of tensors._partials instead was 3.7x slower.  When
+    every run is one segment (a partition of every sample), the sort, the
+    gather and the accumulate are skipped: level n is the same Horner
+    product from a_j = +0, formed for all runs at once, in 0.41x the time
+    at d=2, m=1, 128 segments (0.46x at d=3, m=3).
     """
     offs = _offsets(d, m)
     counts = bounds[1:] - bounds[:-1]
+    if (counts == 1).all():
+        # one segment per run: the Horner products from a_j = +0, as below
+        runs, delta = len(counts), deltas[bounds[:-1]]
+        out = np.zeros((runs, offs[-1]))
+        out[:, 0] = 1.0
+        for n in range(1, m + 1):
+            acc = np.ones((runs, 1))
+            for k in range(n, 0, -1):
+                acc = (acc[:, :, None] * (delta / k)[:, None]).reshape(runs, -1) + 0.0
+            out[:, offs[n]:offs[n + 1]] = acc
+        return out
     order = np.argsort(-counts, kind="stable")
     starts, counts = bounds[:-1][order], counts[order]
     divisors = np.arange(1, m + 1)[:, None, None, None]

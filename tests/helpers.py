@@ -15,7 +15,13 @@ from pabsig import (
     unit,
 )
 from pabsig import goursat
+from pabsig.experiment import simulate_bm
 from pabsig.tensors import _exp, _log, _mul, _offsets
+
+# A sweep whose median far-corner deviation from np.longdouble passes this
+# many times that of the nested cell update rounds worse than the sweep it
+# replaced (tests/test_goursat.py, tools/time_sweep.py).
+DEVIATION_LIMIT = 4.0
 
 
 def rand_tensor(rng, d, m, scale=1.0):
@@ -207,6 +213,38 @@ def predictor_corrector(u00, u01, u10, h, g=None, curv=None):
     return u if curv is None else u - (c / 12.0) * curv
 
 
+def nested_corner(u00, u01, u10, h, g=None, curv=None, out=None):
+    """goursat._corner as it was before its affine form: the same update
+    nested as (s - u00) + h*(s + h*u00), s = u10 + u01, in six array
+    operations.  The reference that the affine form's rounding is weighed
+    against."""
+    s = u10 + u01
+    u = np.multiply(h, u00, out=out)
+    u = np.add(s, u, out=out)
+    u = np.multiply(h, u, out=out)
+    s -= u00
+    u = np.add(s, u, out=out)
+    if g is not None:
+        u = np.add(u, 0.25 * (((1.0 + (h + h)) * g[0] + g[1]) + (g[2] + g[3])), out=out)
+    if curv is not None:
+        u = np.subtract(u, (h / 6.0) * curv, out=out)
+    return u
+
+
+def diff_gate_flags(level1, higher):
+    """goursat._gate_flags as it was before it took fewer numpy calls:
+    np.diff for the gaps, a zeros_like repeat array and the purity test of
+    the higher levels even when there are none.  The reference whose
+    flags _gate_flags must equal."""
+    size = np.abs(level1).max(axis=-1, initial=0.0)
+    pure = np.abs(higher).max(axis=-1, initial=0.0) <= goursat._ROUNDING * size
+    gap = np.abs(np.diff(level1, axis=-2)).max(axis=-1, initial=0.0)
+    repeat = np.zeros_like(pure)
+    repeat[..., 1:] = (pure[..., 1:] & pure[..., :-1]
+                       & (gap <= goursat._ROUNDING * np.maximum(size[..., 1:], size[..., :-1])))
+    return pure, repeat
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def skewed_sweep_order1(X, Y, grid=None):
     """goursat._sweep_order1 as it was before its grid-free form: the full
@@ -247,13 +285,16 @@ def skewed_sweep_order1(X, Y, grid=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sliced_sweep_order1(X, Y, grid=None):
+def sliced_sweep_order1(X, Y, grid=None, corner=None):
     """goursat._sweep_order1 as it was before it evaluated each
     anti-diagonal over its whole block's x range: the same blocks of half
     coefficients, but every anti-diagonal sliced to its own cells, with
     the slices of the u buffers and of the gate flags taken per
-    anti-diagonal.  The bitwise reference of the scalar sweep, and the old
-    form that tools/time_sweep.py times against."""
+    anti-diagonal, and one call of `corner` (default goursat._corner) per
+    anti-diagonal.  The bitwise reference of the scalar sweep; with
+    corner=nested_corner, the old form that tools/time_sweep.py times and
+    weighs the rounding against."""
+    corner = corner or goursat._corner
     B, nx, d = X.shape
     ny = Y.shape[1]
     if not (nx and ny):
@@ -289,13 +330,28 @@ def sliced_sweep_order1(X, Y, grid=None):
             if fire_s.any() or fire_t.any():
                 curv = (np.where(fire_s, (u10 + before[:, lo:hi]) - 2.0 * u00, 0.0)
                         + np.where(fire_t, (u01 + before[:, cells]) - 2.0 * u00, 0.0))
-        new[:, up] = goursat._corner(u00, u01, u10, hb[:, last_p - p, lo - first:hi - first],
-                                     curv=curv)
+        new[:, up] = corner(u00, u01, u10, hb[:, last_p - p, lo - first:hi - first], curv=curv)
         if grid is not None:
             ii = np.arange(lo, hi)
             grid[ii + 1, p - ii + 1] = new[0, up]
         before, u0, u1, new = u0, u1, new, before
     return u1[:, nx + 1]
+
+
+def sweep_deviations(sweeps, n, pairs):
+    """Far-corner deviations |u - u_ld| / max(1, |u_ld|) of each scalar
+    sweep of `sweeps` (name -> a function of (X, Y) like
+    goursat._sweep_order1) from goursat._sweep_order1 run in np.longdouble,
+    on `pairs` pairs of 2-D Brownian paths of n steps on [0, 1]
+    (experiment.simulate_bm, seeds 2s and 2s+1).  Returns name -> list."""
+    dev = {name: [] for name in sweeps}
+    for s in range(pairs):
+        X, Y = (simulate_bm(2, n, 1.0, seed).increments()[None] for seed in (2 * s, 2 * s + 1))
+        ref = goursat._sweep_order1(X.astype(np.longdouble), Y.astype(np.longdouble))[0]
+        scale = max(np.longdouble(1.0), abs(ref))
+        for name, sweep in sweeps.items():
+            dev[name].append(float(abs(sweep(X, Y)[0] - ref) / scale))
+    return dev
 
 
 def log_signature_rows(ts, partition, m):

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,10 @@ from pabsig import goursat
 from pabsig.tensors import _exp, _mul, _partials
 
 from helpers import (
+    DEVIATION_LIMIT,
+    diff_gate_flags,
     line_series,
+    nested_corner,
     pa_exact_kernel,
     pad_pab,
     rand_pab,
@@ -34,6 +38,7 @@ from helpers import (
     series_with_variation,
     skewed_sweep_order1,
     sliced_sweep_order1,
+    sweep_deviations,
 )
 
 
@@ -387,7 +392,7 @@ def repeats(X):
 
 def four_point_sweep(X, Y, curvature=False):
     """Row-major degree-1 recursion with the plain 4-point cell average in
-    closed form, (s - u00) + h(s + h u00) with s = u10 + u01 and h = c/2,
+    closed form, (1 + h)s + (h h - 1)u00 with s = u10 + u01 and h = c/2,
     and, with curvature, the -(c/12)(D_s + D_t) term on cells whose x or y
     increment repeats its predecessor.  The cell coefficients
     c[i, j] = <x_i, y_j> are summed coordinate by coordinate, k = 0..d-1,
@@ -402,7 +407,7 @@ def four_point_sweep(X, Y, curvature=False):
         for j in range(len(Y)):
             s = u[i + 1, j] + u[i, j + 1]
             h = 0.5 * c[i, j]
-            u[i + 1, j + 1] = (s - u[i, j]) + h * (s + h * u[i, j])
+            u[i + 1, j + 1] = (1.0 + h) * s + (h * h - 1.0) * u[i, j]
             if rep_x[i] or rep_y[j]:
                 ds = (u[i + 1, j] + u[i - 1, j]) - 2.0 * u[i, j] if rep_x[i] else 0.0
                 dt = (u[i, j + 1] + u[i, j - 1]) - 2.0 * u[i, j] if rep_y[j] else 0.0
@@ -500,6 +505,67 @@ def test_corner_writes_into_out_bitwise():
         got = goursat._corner(u00, u01, u10, h, out=buf, **terms)
         assert got is buf
         assert same_bits(buf, goursat._corner(u00, u01, u10, h, **terms))
+
+
+def test_weights_are_the_affine_coefficients_bitwise():
+    # _corner on the basis inputs gives exactly the weights 1 + h, 1 + h,
+    # h*h - 1 and (1 + 2h)/4, less h/6 in alpha where D_s fires, so the
+    # coupled sweep's weights keep their bits under the affine form
+    rng = np.random.default_rng(37)
+    h = np.concatenate([[-1.0, -0.0, 0.0, 1.0, -3.5, 2.0], 1.5 * rng.standard_normal(42)])
+    h = h.reshape(2, 3, 8)
+    fire_s = rng.random(h.shape) < 0.5
+    for fire in (None, fire_s):
+        alpha, w01, w00, wg0 = goursat._weights(h, fire)
+        one_h = 1.0 + h
+        assert same_bits(alpha, one_h if fire is None else one_h - (h / 6.0) * fire)
+        assert same_bits(w01, one_h)
+        assert same_bits(w00, h * h - 1.0)
+        assert same_bits(wg0, 0.25 * (1.0 + (h + h)))
+
+
+def test_affine_update_rounds_like_the_nested_form():
+    # over 16 Brownian pairs of 64 x 64 cells, the scalar sweep's median
+    # far-corner deviation from its own np.longdouble run is within
+    # DEVIATION_LIMIT times that of the sliced sweep with the nested
+    # update (s - u00) + h*(s + h*u00), which it replaced
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("np.longdouble is float64 here: no reference to weigh against")
+    dev = sweep_deviations({"affine": goursat._sweep_order1,
+                            "nested": partial(sliced_sweep_order1, corner=nested_corner)},
+                           64, 16)
+    assert max(dev["affine"]) < 1e-13
+    assert np.median(dev["affine"]) <= DEVIATION_LIMIT * np.median(dev["nested"]), dev
+
+
+def test_gate_flags_match_the_diff_form():
+    # rows with planted repeats (exact, within and beyond the rounding
+    # tolerance), impure rows, zero rows, under leading batch axes, and
+    # without higher levels as the scalar sweep calls it
+    rng = np.random.default_rng(38)
+    for d, m in ((1, 1), (2, 1), (2, 3), (3, 2)):
+        n = tensor_dim(d, m)
+        X = rng.standard_normal((3, 2, 12, n)) * 0.3
+        X[..., 0] = 0.0
+        X[..., 1:6, 1 + d:] = 0.0                    # pure rows 1-5
+        X[..., 2, :] = X[..., 1, :]                  # repeats
+        X[..., 3, :] = X[..., 2, :] * (1 + 1e-13)    # repeats within the tolerance
+        X[..., 4, :] = X[..., 3, :] * (1 + 1e-9)     # differs beyond it
+        X[..., 6, :] = X[..., 5, :]                  # repeats at m = 1, impure above
+        if m > 1:
+            X[..., 6, -1] += 1.0
+        X[..., 7:10, :] = 0.0                        # zero rows repeat each other
+        X[1, 0, 10, :] = X[1, 0, 9, :]
+        for rows in (X, X[0, 0], X[..., :1, :], X[..., :0, :]):
+            for level1, higher in ((rows[..., 1:1 + d], rows[..., 1 + d:]),
+                                   (rows[..., 1:1 + d], rows[..., :0])):
+                got, want = goursat._gate_flags(level1, higher), diff_gate_flags(level1, higher)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype == bool and g.shape == w.shape
+                    assert np.array_equal(g, w), (d, m, rows.shape)
+        _, rep = diff_gate_flags(X[..., 1:1 + d], X[..., 1 + d:])
+        assert rep[..., [2, 3, 8, 9]].all() and not rep[..., [1, 4, 5, 7]].any()
+        assert rep[..., 6].all() == (m == 1)
 
 
 def test_curvature_correction_fires_on_repeated_increments():

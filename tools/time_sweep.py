@@ -1,31 +1,38 @@
-"""Time the scalar sweep, which evaluates each anti-diagonal over its
-block's x range, against the sweep that sliced each anti-diagonal to its
-own cells, and measure the memory and the rounding of each.
+"""Time the scalar sweep, which forms the affine weights of its cell
+update once per block and evaluates each anti-diagonal over its block's x
+range, against the sweep that sliced each anti-diagonal to its own cells
+with the nested update, and measure the memory and the rounding of each.
 
     python tools/time_sweep.py [--best N] [--rounds R] [--pairs P] [--size S ...]
 
 For each grid size S (S x S cells), times goursat.solve_order1 on one pair
-twice: as it is, with goursat._sweep_order1 evaluating every anti-diagonal
-of a block of coefficients over the block's whole x range, in place, with
-the views of its u buffers built once per block, and with
-tests/helpers.sliced_sweep_order1, which slices the u buffers, the
-coefficients and the gate flags to each anti-diagonal's own cells, bound
-in place of goursat._sweep_order1.  Both give the same bits.
+twice: as it is, with goursat._sweep_order1 forming the weights 1 + h and
+h*h - 1 of the update (1 + h)*s + (h*h - 1)*u00 once per block of
+coefficients and evaluating every anti-diagonal of the block over the
+block's whole x range, in place, and with tests/helpers.sliced_sweep_order1
+and the nested update (s - u00) + h*(s + h*u00) of
+tests/helpers.nested_corner, which slices the u buffers, the coefficients
+and the gate flags to each anti-diagonal's own cells, bound in place of
+goursat._sweep_order1.  The two round differently.
 tools/abtime.compare times them: a round takes the best of N timings of
 each, alternating which goes first; each timing repeats the call enough
 times to last about 20 ms.  The script prints, per size, the median over
 the rounds of both best times, the median [quartiles] of the time ratio,
 blocked over sliced, so a ratio below 1 is a gain, and the tracemalloc
-peak of one call of each.
+peak of one call of each.  The sliced form with the nested update is two
+changes older than the library's sweep, so the ratio is not the gain of
+the last change alone: at 32^2-512^2 the affine update alone ran
+0.80-0.89x the time of the blocked sweep with the nested update, where
+this script reads 0.54-0.62x at 128^2-1024^2.
 
 It then runs both forms on P pairs of 2-D Brownian paths of S steps on
-[0, 1] (experiment.simulate_bm, seeds 2s and 2s+1 for s = 0..P-1) and
-prints the median and the largest deviation of each from the library's
-sweep run on the increments in np.longdouble,
+[0, 1] (tests/helpers.sweep_deviations: experiment.simulate_bm, seeds 2s
+and 2s+1 for s = 0..P-1) and prints the median and the largest deviation
+of each from the library's sweep run on the increments in np.longdouble,
 |u - u_ld| / max(1, |u_ld|) at the far corner.  Brownian increments never
 repeat, so the curvature correction does not fire.  The exit status is 1
-if the blocked form's median deviation exceeds 4 times the sliced form's
-at some size, else 0.
+if the blocked form's median deviation exceeds DEVIATION_LIMIT (4) times
+the sliced form's at some size, else 0.
 The deviations are a few ulps, so a median over few pairs is noise: at
 64^2 the ratio of the medians read 8.5 on 2 pairs, 2.2-2.9 on 4 pairs at
 32^2-64^2, and 1.15-1.75 on 8 pairs at 16^2-128^2.  So the script takes
@@ -35,23 +42,22 @@ bad option.
 BLAS and OpenMP run on one thread.
 """
 
+import functools
 import sys
 import tracemalloc
 
 import abtime  # before numpy: one BLAS thread, src/ and tests/ on sys.path
 
 import numpy as np
-from helpers import sliced_sweep_order1
+from helpers import DEVIATION_LIMIT, nested_corner, sliced_sweep_order1, sweep_deviations
 from pabsig import goursat
 from pabsig.experiment import simulate_bm
 
 SIZES = (128, 256, 512, 1024)
-# A blocked form whose median deviation passes this many times the
-# sliced form's rounds worse than the sweep it replaces.
-DEVIATION_LIMIT = 4.0
 # Fewest pairs whose median deviation the limit is judged on.
 VERDICT_PAIRS = 8
-FORMS = {"old": sliced_sweep_order1, "new": goursat._sweep_order1}
+FORMS = {"old": functools.partial(sliced_sweep_order1, corner=nested_corner),
+         "new": goursat._sweep_order1}
 
 
 def _solve(which, X, Y):
@@ -87,14 +93,7 @@ def time_size(n, best, rounds):
 def deviations(n, pairs):
     """Median and largest deviation of the sliced and of the blocked form
     from the library's sweep in np.longdouble over `pairs` Brownian pairs."""
-    dev = {"old": [], "new": []}
-    for s in range(pairs):
-        X, Y = _increments(n, 2 * s), _increments(n, 2 * s + 1)
-        ref = goursat._sweep_order1(X.astype(np.longdouble)[None],
-                                    Y.astype(np.longdouble)[None])[0]
-        scale = max(np.longdouble(1.0), abs(ref))
-        for which in dev:
-            dev[which].append(float(abs(_solve(which, X, Y) - ref) / scale))
+    dev = sweep_deviations(FORMS, n, pairs)
     return {which: (float(np.median(d)), max(d)) for which, d in dev.items()}
 
 
