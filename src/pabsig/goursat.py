@@ -33,8 +33,9 @@ which is the form _corner evaluates: the u part is one affine combination
 of s and u[i,j], whose weights a = 1 + h and b = h*h - 1 depend on the
 cell alone.  It takes the half coefficient h, which each caller forms
 once: step() per cell, the coupled sweep per block of rows and the scalar
-sweep, with a and b, per block of anti-diagonals.  Since h + h and h/6
-are exactly c and c/12 (barring subnormal c), taking h changes no bits.
+sweep, with b and, where no cell can fire, a, per block of
+anti-diagonals.  Since h + h and h/6 are exactly c and c/12 (barring
+subnormal c), taking h changes no bits.
 The form rounds differently from the four-point sum by a few ulps of the
 terms.  It also rounds differently from the nested form
 (s - u[i,j]) + h*(s + h*u[i,j]) of the same update, which takes six
@@ -102,26 +103,29 @@ which outgrow k: 27 values per column against k = 13 at d=3, m=3, and
 coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
 The scalar sweep keeps no N_x x N_y array.  It holds two coefficient
 blocks of K <= 64 anti-diagonals (N_y/5 of them, or enough for 512
-coefficients on small shapes), (B, K, <= N_x) each: the weights 1 + h of
-_corner, formed in place over the half coefficients h, and h*h - 1.
-While the first is built it holds a product temporary and numpy's two
-iteration buffers of at most its size in place of the second.  Where
-some interval repeats its neighbour, a third block keeps h for the
-curvature terms, with a reversed, False-padded copy of the y repeat
-flags.  The rest is O(N_x + N_y): the halved x increments and a
+coefficients on small shapes), (K, B, <= N_x) each, in both of its
+loops: the half coefficients h and _corner's weight h*h - 1.  The weight
+1 + h is formed in place over h where no interval repeats its
+neighbour; elsewhere the curvature terms read h, so 1 + h is formed per
+anti-diagonal into a row, next to a reversed, False-padded copy of the y
+repeat flags.  While the first block is built it holds a product
+temporary and numpy's two iteration buffers of at most its size in place
+of the second.  The rest is O(N_x + N_y): the halved x increments and a
 reversed, zero-padded copy of the y increments, O((N_x + N_y) d)
 values; four anti-diagonals of u, which _corner updates in place; and
-one row of the block's width for _corner's product (h*h - 1)*u00.  The
-full grids exist only when asked for, and then come from step().
+two rows of the block's width, for _corner's product (h*h - 1)*u00 and
+for 1 + h.  The full grids exist only when asked for, and then come
+from step().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import cycle, repeat
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .lift import PiecewiseAbelianPath, TimeSeries, _partial_rows, build_pab
 from .tensors import (
@@ -230,8 +234,8 @@ def _corner(u00, u01, u10, h, g=None, curv=None, out=None, ab=None, tmp=None):
     adjoint terms <phi, R*_x(y)> + <psi, R*_y(x)> there and at the new
     corner, or None at degree 1, where they vanish; curv is the fired
     D_s + D_t, or None where no cell fires.  ab is the pair (1 + h,
-    h*h - 1) when the caller has formed it, as the scalar sweep does once
-    per block; h is then read only by the g and curv terms, and may be
+    h*h - 1) when the caller has formed it, as the scalar sweep does (see
+    _sweep_order1); h is then read only by the g and curv terms, and may be
     None without them.  With out, an array of the cells' shape that
     aliases no input, the update is written there and out is returned;
     with tmp as well, a second such array, the degree-1 update without
@@ -322,16 +326,16 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     block and np.getbufsize(); d (K + w) of the padding of the y copy; and
     2d + 12 per interval of either path: d + 1 of the stacked increments, d
     of the halved x or the padded y copy, 4 of the u diagonals and 7 for
-    the gate tests' temporaries, _corner's row of products and the fixed
-    numpy and Python overhead.  The buffers are per call, not per pair, so
-    this over-counts batches.  Measured single-pair peaks are 0.63-0.98 of
-    this at d = 1, 2, 3, 5 on 64-1024 cells a side, 512 x 64 and 64 x 512.
-    Where some interval repeats its neighbour, the sweep also keeps h in a
-    third block, which this does not count: such pairs, refined 4 times,
-    peaked at 0.72-1.09 of it up to 256 cells a side and 1.15-1.26 at 512
-    and 1024.  In the coupled sweep every per-column
-    array of the row step but the product matrices P_l has
-    k = N(d, m-1) coefficients, and only V, the
+    the gate tests' temporaries, _corner's rows of products and of 1 + h
+    and the fixed numpy and Python overhead.  The buffers are per call,
+    not per pair, so this over-counts batches.  Measured single-pair peaks
+    are 0.63-0.99 of this at d = 1, 2, 3, 5 on 64-1024 cells a side,
+    512 x 64 and 64 x 512.  Where some interval repeats its neighbour, the
+    two blocks are h and h*h - 1, and the sweep forms 1 + h per
+    anti-diagonal: such pairs, refined 4 times, peaked at 0.70-0.96 of
+    this at d = 1-3 on 256-1024 cells a side, and at up to 1.05 at 64.  In
+    the coupled sweep every per-column array of the row step but the
+    product matrices P_l has k = N(d, m-1) coefficients, and only V, the
     increments and the weight block are sized by N (see the module
     docstring).  Per grid column, of which it counts max(N_x, N_y) + 1, it
     holds 8k values of state rows, row adjoints and the per-level
@@ -482,8 +486,8 @@ def solve_pairs(pxs: Sequence[PiecewiseAbelianPath],
         size = max(1, _BATCH_VALUES // _pair_values(d, m, nx, ny))
         for s in range(0, len(ks), size):
             chunk = ks[s:s + size]
-            X = np.stack([pxs[k].increments for k in chunk])
-            Y = np.stack([pys[k].increments for k in chunk])
+            X = np.array([pxs[k].increments for k in chunk])
+            Y = np.array([pys[k].increments for k in chunk])
             if m == 1:
                 values[chunk] = _sweep_order1(X[..., 1:], Y[..., 1:])
             else:
@@ -661,20 +665,34 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     the row-major sweep.  No N_x x N_y array is formed: the half
     coefficients h = <x_i, y_j>/2 of K consecutive anti-diagonals
     (_diagonal_block) are built at once, over the x indices [first, last)
-    their cells span, as one contiguous block.  The block is one
-    multiply-add per coordinate of the halved x increments by a window
-    view of a reversed, zero-padded copy of the y increments, summed in
-    the order k = 0..d-1, so a pair gets the same bits alone and in any
-    batch.  _corner's weights 1 + h and h*h - 1 are then formed once for
-    the whole block, the first in place over h and the second in one more
-    block, so that each anti-diagonal runs only _corner's four array
-    operations, into the new anti-diagonal and one preallocated row.  Only
-    the last four anti-diagonals of corners are kept, as four (B, N_x+2)
-    buffers indexed by 1 + the x index of the corner; they rotate, so
-    anti-diagonal q reads and writes the views that the block builds once
-    for q % 4.  The rows of the weights view their blocks, so every name
-    that holds one is cleared before the next block is built; a row left
-    over would keep its block alive through the next one.
+    their cells span, as one contiguous block with a (B, last - first) row
+    per anti-diagonal.  The block is one multiply-add per coordinate of the
+    halved x increments by a window view of a reversed, zero-padded copy of
+    the y increments, summed in the order k = 0..d-1, so a pair gets the
+    same bits alone and in any batch.  _corner's weight h*h - 1 is then
+    formed once for the whole block, in one more block.  Only the last four
+    anti-diagonals of corners are kept, as four (B, N_x+2) buffers indexed
+    by 1 + the x index of the corner.  They rotate, so the views that an
+    anti-diagonal reads and writes repeat with period 4: each block builds
+    the views of the four phases once and cycles through them from the
+    phase of its first anti-diagonal.
+
+    When no interval of any pair repeats its neighbour (sampled Brownian
+    paths, say) and no grid is asked for, no cell can fire: the weight
+    1 + h is formed in place over h, and each anti-diagonal is one
+    positional _corner call, into the new anti-diagonal and one
+    preallocated row, with no other Python work.  On Brownian pairs of
+    32^2-512^2 cells that loop ran 0.80-0.82x the time of the general loop,
+    which the other pairs take.  There h stays for the curvature terms,
+    and 1 + h is formed per anti-diagonal into a second row, the same IEEE
+    sum, so both loops hold two blocks.  The fired flags of the block's
+    range come from rep_x and from a reversed, False-padded copy of rep_y
+    laid out like the y copy, and an anti-diagonal with no fired cell in
+    the range skips the curvature terms.  With a grid (B = 1, shape
+    (N_x+1, N_y+1)) every corner of the grid is also written there.  The
+    rows of the blocks are views of them, so every name that holds one is
+    cleared before the next block is built; a row left over would keep its
+    block alive through the next one.
 
     Every anti-diagonal of a block is evaluated over the block's whole
     range [first, last), in place into the view of the new anti-diagonal.
@@ -684,17 +702,7 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     1*(1 + 1) - 1*1 = 1 and its curvature terms are 0.  Where j >= N_y,
     it writes a corner past column N_y, which no cell of the grid reads.
     So boundary corners stay 1, and the grid's cells get the bits of the
-    per-cell update.
-
-    When no interval of any pair repeats its neighbour (sampled Brownian
-    paths, say), no cell can fire and the gate tests are skipped; else
-    the fired flags of the block's range come from rep_x and from a
-    reversed, False-padded copy of rep_y laid out like the y copy, and an
-    anti-diagonal with no fired cell in the range skips the curvature
-    terms.  Those read h, which then stays in a third block next to the
-    same two weight blocks.  The sweep runs in the dtype of the
-    increments.  With a grid (B = 1, shape (N_x+1, N_y+1)) every corner of
-    the grid is also written there.
+    per-cell update.  The sweep runs in the dtype of the increments.
     """
     B, nx, d = X.shape
     ny = Y.shape[1]
@@ -705,66 +713,76 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     width = min(nx, ny + K - 1)                # x indices a block spans at most
     # xh[:, k, i] is x_i[k]/2, and yr[:, k, K + ny - 2 - j] is y_j[k], with
     # K - 1 zeros before and width - 1 after: cell (i, q - i) reads
-    # yr[:, k, K + ny - 2 - q + i], which runs forwards along i
+    # yr[:, k, K + ny - 2 - q + i], which runs forwards along i.  So
+    # windows[t, :, :, i] is yr[:, :, t + i], and anti-diagonal q of a block
+    # reads window t = K + ny - 2 - q + first.
     xh = 0.5 * np.ascontiguousarray(X.transpose(0, 2, 1))
     yr = np.zeros((B, d, ny + K - 2 + width), dtype=Y.dtype)
     yr[..., K - 1:K - 1 + ny] = Y[:, ::-1].transpose(0, 2, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(yr, width, axis=2)
-    _, rep_x = _gate_flags(X, X[..., :0])
-    _, rep_y = _gate_flags(Y, Y[..., :0])
-    gated = bool(rep_x.any() or rep_y.any())
+    s0, s1, s2 = yr.strides
+    windows = as_strided(yr, (ny + K - 1, B, d, width), (s2, s0, s1, s2), writeable=False)
+    # the repeat flags of both paths in one call, where x_{N_x-1} and y_0,
+    # which meet in the stack, are no neighbours
+    XY = np.concatenate((X, Y), axis=1)
+    _, rep = _gate_flags(XY, XY[..., :0])
+    XY = None
+    rep[:, nx] = False
+    rep_x, rep_y = rep[:, :nx], rep[:, nx:]
+    gated = bool(rep.any())
     if gated:
         ry = np.zeros((B, ny + K - 2 + width), dtype=bool)
         ry[:, K - 1:K - 1 + ny] = rep_y[:, ::-1]
-        fire_windows = np.lib.stride_tricks.sliding_window_view(ry, width, axis=1)
+        r0, r1 = ry.strides
+        fire_windows = as_strided(ry, (ny + K - 1, B, width), (r1, r0, r1), writeable=False)
     bufs = np.ones((4, B, nx + 2), dtype=X.dtype)
-    tmps = np.empty((B, width), dtype=X.dtype)
+    rows = np.empty((2, B, width), dtype=X.dtype)
     for p in range(0, diagonals, K):
-        # anti-diagonals p..last_p over x indices first..last-1, last one
-        # first: h_blk[:, last_p - q, i - first] is h of cell (i, q - i)
+        # anti-diagonals p..last_p over x indices first..last-1: h_blk[q - p,
+        # :, i - first] is h of cell (i, q - i)
         last_p = min(p + K, diagonals) - 1
         first, last = max(0, p - ny + 1), min(nx - 1, last_p) + 1
         start = K + ny - 2 - last_p + first
         # free the last blocks, which the rows of the loop view: peak memory
-        h_blk = a_blk = b_blk = h_rows = a = b = h = None
-        win = windows[:, :, start:start + last_p - p + 1, :last - first]
-        h_blk = xh[:, 0, None, first:last] * win[:, 0]
+        h_blk = b_blk = a = b = h = None
+        win = windows[start:start + last_p - p + 1, ..., :last - first][::-1]
+        h_blk = xh[:, 0, first:last] * win[:, :, 0]
         for k in range(1, d):
-            h_blk += xh[:, k, None, first:last] * win[:, k]
-        # _corner's weights h*h - 1 and 1 + h, the latter in place over h
-        # unless the curvature terms may read h
+            h_blk += xh[:, k, first:last] * win[:, :, k]
+        # _corner's weight h*h - 1, and 1 + h below
         b_blk = np.multiply(h_blk, h_blk)
         b_blk -= 1.0
-        if gated:
-            a_blk = h_blk + 1.0
-        else:
+        tmp, one_h = rows[..., :last - first]
+        # anti-diagonal q reads u00, u01, u10 from the buffers (q+1, q+2,
+        # q+2) % 4 and writes the new corners into buffer (q+3) % 4
+        at1, at2 = (tuple(bufs[..., first + s:last + s]) for s in (1, 2))
+        views = cycle([(at1[(q + 1) % 4], at1[(q + 2) % 4], at2[(q + 2) % 4], at2[(q + 3) % 4])
+                       for q in range(p, p + 4)])
+        if not (gated or grid is not None):
             a_blk, h_blk = h_blk, None
             a_blk += 1.0
-        tmp = tmps[:, :last - first]
-        # anti-diagonal q reads u00, u01, u10 and the D_s, D_t corners of the
-        # one before from the buffers (q+1, q+2, q+2, q, q) % 4 and writes
-        # the new corners into buffer (q+3) % 4
-        at0, at1, at2 = (list(bufs[..., first + s:last + s]) for s in range(3))
-        views = [(at1[(r + 1) % 4], at1[(r + 2) % 4], at2[(r + 2) % 4], at2[(r + 3) % 4],
-                  at0[r], at1[r]) for r in range(4)]
-        # per anti-diagonal, its y flags, or None where no cell of the range fires
-        fire_t_rows = repeat(None)
+            for (u00, u01, u10, new), a, b in zip(views, a_blk, b_blk):
+                _corner(u00, u01, u10, None, None, None, new, (a, b), tmp)
+            a_blk = None
+            continue
+        # the D_s and D_t corners of the anti-diagonal before q are in
+        # buffer q % 4; per anti-diagonal, whether some cell of the range
+        # fires, and its y flags
+        at0 = bufs[..., first:last]
+        befores = cycle([(at0[q % 4], at1[q % 4]) for q in range(p, p + 4)])
+        fires, fire_t = repeat(False), repeat(None)
         if gated:
             fire_s = rep_x[:, first:last]
-            fire_t = fire_windows[:, start:start + last_p - p + 1, :last - first]
-            fires = (fire_t | fire_s[:, None]).any(axis=(0, 2))[::-1].tolist()
-            fire_t_rows = [t if f else None
-                           for f, t in zip(fires, fire_t.transpose(1, 0, 2)[::-1])]
-        h_rows = repeat(None) if h_blk is None else h_blk.transpose(1, 0, 2)[::-1]
-        for q, a, b, h, fire_tq in zip(range(p, last_p + 1), a_blk.transpose(1, 0, 2)[::-1],
-                                       b_blk.transpose(1, 0, 2)[::-1], h_rows, fire_t_rows):
-            u00, u01, u10, new, before_s, before_t = views[q % 4]
+            fire_t = fire_windows[start:start + last_p - p + 1, :, :last - first][::-1]
+            fires = (fire_t | fire_s).any(axis=(1, 2)).tolist()
+        for q, (u00, u01, u10, new), (before_s, before_t), h, b, fire_tq, fired in zip(
+                range(p, last_p + 1), views, befores, h_blk, b_blk, fire_t, fires):
+            np.add(h, 1.0, one_h)
             curv = None
-            if fire_tq is not None:
+            if fired:
                 twice = 2.0 * u00
                 curv = (np.where(fire_s, (u10 + before_s) - twice, 0.0)
                         + np.where(fire_tq, (u01 + before_t) - twice, 0.0))
-            _corner(u00, u01, u10, h, curv=curv, out=new, ab=(a, b), tmp=tmp)
+            _corner(u00, u01, u10, h, None, curv, new, (one_h, b), tmp)
             if grid is not None:
                 ii = np.arange(max(0, q - ny + 1), min(nx - 1, q) + 1)
                 grid[ii + 1, q - ii + 1] = new[0, ii - first]

@@ -460,7 +460,7 @@ def test_solve_order1_grids_match_row_major_reference_bitwise():
         assert same_bits(solve_order1(a, b, keep_state=True).state.u, grid)
 
 
-@pytest.mark.parametrize("K", [1, 2, 5, 64])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 64])
 def test_scalar_sweep_blocks_match_row_major_reference_bitwise(monkeypatch, K):
     # blocks of K anti-diagonals end inside every shape above one cell; each
     # must give the row-major grid and value bit for bit, alone and in a
@@ -468,13 +468,18 @@ def test_scalar_sweep_blocks_match_row_major_reference_bitwise(monkeypatch, K):
     # the anti-diagonals of a block run past the grid on both sides of
     # their own cells, over the block's x range, and K = 64 takes every
     # anti-diagonal of these shapes, 1 x N and N x 1 among them, in one
-    # block.  In np.longdouble, which the row-major reference does not
-    # run in, the sweep must give the bits of its per-diagonal form.
+    # block.  The buffers of u rotate with period 4, so K = 1, 2, 3, 5 and 7
+    # start blocks at every phase of the rotation, and the 39 anti-diagonals
+    # of 23 x 17 cells, with and without repeats, run several blocks of
+    # each K in both loops of the sweep.  In np.longdouble, which the
+    # row-major reference does not run in, the sweep must give the bits of
+    # its per-diagonal form.
     monkeypatch.setattr(goursat, "_diagonal_block", lambda nx, ny: K)
     # at d = 3 the order of the coordinate sum shows in the bits
     rng = np.random.default_rng(35)
     wide = [(rng.standard_normal((nx, 3)) * 0.4, rng.standard_normal((ny, 3)) * 0.4)
-            for nx, ny in ((6, 7), (11, 3), (3, 11)) for _ in range(2)]
+            for nx, ny in ((6, 7), (11, 3), (3, 11), (23, 17)) for _ in range(2)]
+    wide.append((np.repeat(wide[-1][0][:8], 3, axis=0)[:23], wide[-1][1]))
     by_shape = {}
     for a, b in [*order1_cases(), *wide]:
         want = four_point_sweep(a, b, curvature=True)
@@ -808,6 +813,12 @@ def test_pair_values_bound_single_pair_peaks():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * goursat._pair_values(d, m, nx, ny), (d, m, nx, ny, peak)
+    # pairs whose repeated increments fire the curvature terms, where the
+    # scalar sweep keeps h next to h*h - 1
+    for n in (256, 512):
+        px, py = (refine_pab(rand_pab(rng, 2, 1, n // 4, 0.1), 4) for _ in range(2))
+        peak = solve_pairs_peak(px, py)
+        assert peak <= 8 * goursat._pair_values(2, 1, n, n), (n, peak)
 
 
 def test_coupled_sweep_holds_no_grid_per_pair():

@@ -60,15 +60,19 @@ def test_time_sweep_prints_time_and_deviation_rows():
               "--pairs", "8", "--size", "64")
     assert out.returncode == 0, out.stderr
     rows = [line for line in out.stdout.splitlines() if line.startswith("   64^2 ")]
-    assert len(rows) == 2
+    assert len(rows) == 3
     # the time row ends with the tracemalloc peak of each form
     fields = rows[0].split()
     assert fields[-1] == fields[-3] == "MB"
     assert 0.0 < float(fields[-4]) and 0.0 < float(fields[-2])
+    # the time row of the curvature-firing pair ends with each form's peak
+    # as a fraction of the pair budget, goursat._pair_values
+    fields = rows[1].split()
+    assert fields[2] == fields[4] == "ms" and 0.0 < float(fields[-2]) and 0.0 < float(fields[-1])
     # the deviation row: median (largest) of each form, below 1e-13; the
     # two forms round differently, and exit status 0 says the blocked
     # form's median is within the limit of the sliced form's
-    devs = [float(f.strip("()")) for f in rows[1].split()[1:]]
+    devs = [float(f.strip("()")) for f in rows[2].split()[1:]]
     assert len(devs) == 4 and all(0.0 <= v < 1e-13 for v in devs)
 
 

@@ -19,11 +19,20 @@ each, alternating which goes first; each timing repeats the call enough
 times to last about 20 ms.  The script prints, per size, the median over
 the rounds of both best times, the median [quartiles] of the time ratio,
 blocked over sliced, so a ratio below 1 is a gain, and the tracemalloc
-peak of one call of each.  The sliced form with the nested update is two
-changes older than the library's sweep, so the ratio is not the gain of
-the last change alone: at 32^2-512^2 the affine update alone ran
+peak of one call of each.  The sliced form with the nested update is
+three changes older than the library's sweep, so the ratio is not the gain
+of the last change alone: at 32^2-512^2 the affine update alone ran
 0.80-0.89x the time of the blocked sweep with the nested update, where
 this script reads 0.54-0.62x at 128^2-1024^2.
+
+The same rows follow for a curvature-firing pair at each size: the
+increments of 2-D Brownian paths of S/4 steps (seeds 0 and 1), each
+repeated 4 times, so that three intervals in four repeat their
+neighbour, the curvature terms fire, and the library's sweep takes its
+general loop, which keeps the half coefficients for them.  There the
+peak of each form is given as a fraction of goursat._pair_values(2, 1,
+S, S), the working set that solve_pairs budgets for one such pair, in
+values of 8 bytes.
 
 It then runs both forms on P pairs of 2-D Brownian paths of S steps on
 [0, 1] (tests/helpers.sweep_deviations: experiment.simulate_bm, seeds 2s
@@ -81,13 +90,27 @@ def _increments(n, seed):
     return simulate_bm(2, n, 1.0, seed).increments()
 
 
-def time_size(n, best, rounds):
-    X, Y = _increments(n, 0), _increments(n, 1)
+def _repeated(n, seed):
+    """n increments: those of a Brownian path of ceil(n/4) steps, each
+    repeated 4 times."""
+    return np.repeat(_increments(-(-n // 4), seed), 4, axis=0)[:n]
+
+
+def time_size(n, best, rounds, firing=False):
+    """Print the time row of S = n: the Brownian pair, or with firing the
+    curvature-firing pair, whose peaks are fractions of the pair budget."""
+    make = _repeated if firing else _increments
+    X, Y = make(n, 0), make(n, 1)
     new, old = (lambda which=which: _solve(which, X, Y) for which in ("new", "old"))
     t_new, t_old, (med, q1, q3) = abtime.compare(new, old, best, rounds)
+    peaks = _peak("old", X, Y), _peak("new", X, Y)
+    if firing:
+        budget = 8 * goursat._pair_values(2, 1, n, n) / 1e6
+        peaks = " ".join(f"{peak / budget:12.2f}" for peak in peaks)
+    else:
+        peaks = f"{peaks[0]:10.3f} MB {peaks[1]:8.3f} MB"
     print(f"{n:5}^2 {t_old * 1e3:11.3f} ms {t_new * 1e3:11.3f} ms"
-          f"   {med:.2f} [{q1:.2f}, {q3:.2f}]"
-          f" {_peak('old', X, Y):10.3f} MB {_peak('new', X, Y):8.3f} MB", flush=True)
+          f"   {med:.2f} [{q1:.2f}, {q3:.2f}] {peaks}", flush=True)
 
 
 def deviations(n, pairs):
@@ -114,6 +137,11 @@ def main(argv):
           f" {'peak sliced':>13} {'blocked':>11}")
     for n in sizes:
         time_size(n, args.best, args.rounds)
+    print("\ncurvature-firing pairs (increments repeated 4 times), peaks per pair budget")
+    print(f"{'cells':7} {'sliced':>14} {'blocked':>14}   new/old median [quartiles]"
+          f" {'peak sliced':>12} {'blocked':>12}")
+    for n in sizes:
+        time_size(n, args.best, args.rounds, firing=True)
     print(f"\ndeviation from np.longdouble, {args.pairs} Brownian pairs:"
           f" median (largest)")
     print(f"{'cells':7} {'sliced':>22} {'blocked':>22}")
