@@ -758,11 +758,9 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
         views = cycle([(at1[(q + 1) % 4], at1[(q + 2) % 4], at2[(q + 2) % 4], at2[(q + 3) % 4])
                        for q in range(p, p + 4)])
         if not (gated or grid is not None):
-            a_blk, h_blk = h_blk, None
-            a_blk += 1.0
-            for (u00, u01, u10, new), a, b in zip(views, a_blk, b_blk):
+            h_blk += 1.0                               # now _corner's weight 1 + h
+            for (u00, u01, u10, new), a, b in zip(views, h_blk, b_blk):
                 _corner(u00, u01, u10, None, None, None, new, (a, b), tmp)
-            a_blk = None
             continue
         # the D_s and D_t corners of the anti-diagonal before q are in
         # buffer q % 4; per anti-diagonal, whether some cell of the range
