@@ -100,28 +100,32 @@ psi forcing and products; and for 2 <= l <= m-1 the
 which outgrow k: 27 values per column against k = 13 at d=3, m=3, and
 351 against 40 at d=3, m=4.  Only the
 (B, 2k, N) matrix V, the increments and the block of K = N/2 rows of cell
-coefficients and four weights, five (B, K, N_y) arrays, are sized by N.
+coefficients and their weights are sized by N: four (B, K, N_y) arrays,
+the half coefficients h, _corner's pair 1 + h and h*h - 1 and the weight
+of the first adjoint term, and a fifth, the weight of u[i+1, j], in blocks
+where some row fires the curvature correction.
 The scalar sweep keeps no N_x x N_y array.  It holds two coefficient
 blocks of K <= 64 anti-diagonals (N_y/5 of them, or enough for 512
 coefficients on small shapes), (K, B, <= N_x) each, in both of its
 loops: the half coefficients h and _corner's weight h*h - 1.  The weight
-1 + h is formed in place over h where no interval repeats its
-neighbour; elsewhere the curvature terms read h, so 1 + h is formed per
-anti-diagonal into a row, next to a reversed, False-padded copy of the y
-repeat flags.  While the first block is built it holds a product
-temporary and numpy's two iteration buffers of at most its size in place
-of the second.  The rest is O(N_x + N_y): the halved x increments and a
-reversed, zero-padded copy of the y increments, O((N_x + N_y) d)
-values; four anti-diagonals of u, which _corner updates in place; and
-two rows of the block's width, for _corner's product (h*h - 1)*u00 and
-for 1 + h.  The full grids exist only when asked for, and then come
-from step().
+1 + h is formed in place over h where no interval repeats its neighbour
+and no grid is asked for; elsewhere the curvature terms read h, so 1 + h
+is formed per anti-diagonal into a row, next to a reversed, False-padded
+copy of the y repeat flags.  While the first block is built it holds a
+product temporary and numpy's two iteration buffers of at most its size
+in place of the second.  The rest is O(N_x + N_y): the halved x
+increments and a reversed, zero-padded copy of the y increments,
+O((N_x + N_y) d) values; four anti-diagonals of u, which _corner updates
+in place; and two rows of the block's width, for _corner's product
+(h*h - 1)*u00 and for 1 + h.  Full grids exist only when asked for:
+solve() then fills them with step(), and solve_order1() has the scalar
+sweep write its u grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, repeat
+from itertools import cycle
 from typing import Optional, Sequence
 
 import numpy as np
@@ -152,8 +156,8 @@ _ROUNDING = 1e-12
 _OVERFLOW = "kernel value is not finite: the sweep overflowed"
 
 # Relative slack of the exact-kernel identities k(x, x) >= 1 and
-# |k(x, y)| <= sqrt(k(x, x) k(y, y)) (Cauchy-Schwarz); kernel() and
-# experiment.gram_matrix() raise NumericError on a value beyond it.
+# |k(x, y)| <= sqrt(k(x, x) k(y, y)) (Cauchy-Schwarz); _check_identities
+# raises NumericError on a value beyond it.
 _IDENTITY_SLACK = 1e-9
 
 __all__ = [
@@ -277,14 +281,16 @@ def _weights(h, fire_s=None):
     rounding _corner(u00, u01, u10, h, g, curv) is alpha u10 + w01 u01
     + w00 u00 + wg0 g[0] + (g[1] + g[2] + g[3])/4
     + _corner(0, 0, 0, h, None, rest), where rest is curv without the u10
-    of D_s in the cells fire_s marks.  Each weight is _corner on basis
-    inputs, on the block of h that the coupled sweep halves once, with
-    _corner's own two weights formed once for all four.
+    of D_s in the cells fire_s marks.  On the basis inputs _corner gives
+    exactly its own pair (1 + h, h*h - 1) as w01 and w00, and 1 + h as
+    alpha where fire_s is None.  So that pair, formed once on the block of
+    h that the coupled sweep halves once, is returned as those weights,
+    alpha and w01 then being one array; only alpha with fire_s and wg0 are
+    _corner on basis inputs.
     """
     ab = (1.0 + h, h * h - 1.0)
-    return (_corner(0.0, 0.0, 1.0, h, None, fire_s, ab=ab), _corner(0.0, 1.0, 0.0, h, ab=ab),
-            _corner(1.0, 0.0, 0.0, h, ab=ab),
-            _corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0), ab=ab))
+    alpha = ab[0] if fire_s is None else _corner(0.0, 0.0, 1.0, h, None, fire_s, ab=ab)
+    return alpha, ab[0], ab[1], _corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0), ab=ab)
 
 
 # Most anti-diagonals per block of cell coefficients in the scalar sweep.
@@ -344,8 +350,10 @@ def _pair_values(d: int, m: int, nx: int, ny: int) -> int:
     partials and the block's coefficients and weights with their
     temporaries, which over-counts the partials, of k coefficients; and 32
     of the u march, whose Python float lists take 4 values per float.  Add
-    the 2k x N matrix V.  Measured single-pair peaks are 0.74-0.85 of
-    this at d = 1-3, m = 2-4 on 64-256 cells a side.
+    the 2k x N matrix V.  Measured single-pair peaks, after one untraced
+    sweep of the shape, are 0.61-0.90 of this at d = 1-3, m = 2-4 on
+    64-256 cells a side, the highest at d = 1 on 64 x 64, and up to 0.95
+    at d = 1, where paths refined 4 times fire the curvature terms.
     """
     if m == 1:
         K = _diagonal_block(nx, ny)
@@ -533,8 +541,11 @@ def _sweep(d: int, m: int, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     in its inputs, and the weights of u[i+1, j] (alpha_j: 1 + c/2, less
     c/12 where D_s fires), of u[i, j], of u[i, j+1] and of the first
     adjoint term depend only on the cell coefficient c = <x_i, y_j>.  They
-    come from _corner on basis inputs (_weights), once per block of
-    K = N/2 rows: blocks of N/4 rows ran 1.23x slower at N = 7, and of
+    come from _weights once per block of K = N/2 rows: the weights of
+    u[i, j+1] and u[i, j] are _corner's own pair (1 + h, h*h - 1) of
+    h = c/2, which is alpha_j too in blocks where no row fires, and
+    alpha_j in the other blocks and the adjoint weight are _corner on
+    basis inputs.  Blocks of N/4 rows ran 1.23x slower at N = 7, and of
     4N/5 rows as fast with higher peaks.  beta_j is then one linear
     combination per row, plus _corner on the fired curvature terms in rows
     where the correction fires, and u advances by one multiply-add per
@@ -678,8 +689,8 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     phase of its first anti-diagonal.
 
     When no interval of any pair repeats its neighbour (sampled Brownian
-    paths, say) and no grid is asked for, no cell can fire: the weight
-    1 + h is formed in place over h, and each anti-diagonal is one
+    paths, say), no cell can fire, and unless a grid is asked for the
+    weight 1 + h is formed in place over h, and each anti-diagonal is one
     positional _corner call, into the new anti-diagonal and one
     preallocated row, with no other Python work.  On Brownian pairs of
     32^2-512^2 cells that loop ran 0.80-0.82x the time of the general loop,
@@ -689,10 +700,12 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     range come from rep_x and from a reversed, False-padded copy of rep_y
     laid out like the y copy, and an anti-diagonal with no fired cell in
     the range skips the curvature terms.  With a grid (B = 1, shape
-    (N_x+1, N_y+1)) every corner of the grid is also written there.  The
-    rows of the blocks are views of them, so every name that holds one is
-    cleared before the next block is built; a row left over would keep its
-    block alive through the next one.
+    (N_x+1, N_y+1)) the sweep takes this loop whatever the flags, which
+    are then all False for a pair with no repeats, and every corner of the
+    grid is also written there.  The rows of the blocks are views of them,
+    so every name that holds one is cleared before the next block is
+    built; a row left over would keep its block alive through the next
+    one.
 
     Every anti-diagonal of a block is evaluated over the block's whole
     range [first, last), in place into the view of the new anti-diagonal.
@@ -728,7 +741,9 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
     XY = None
     rep[:, nx] = False
     rep_x, rep_y = rep[:, :nx], rep[:, nx:]
-    gated = bool(rep.any())
+    # a grid takes the gated loop too, with all flags False for a pair with
+    # no repeats
+    gated = grid is not None or bool(rep.any())
     if gated:
         ry = np.zeros((B, ny + K - 2 + width), dtype=bool)
         ry[:, K - 1:K - 1 + ny] = rep_y[:, ::-1]
@@ -757,7 +772,7 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
         at1, at2 = (tuple(bufs[..., first + s:last + s]) for s in (1, 2))
         views = cycle([(at1[(q + 1) % 4], at1[(q + 2) % 4], at2[(q + 2) % 4], at2[(q + 3) % 4])
                        for q in range(p, p + 4)])
-        if not (gated or grid is not None):
+        if not gated:
             h_blk += 1.0                               # now _corner's weight 1 + h
             for (u00, u01, u10, new), a, b in zip(views, h_blk, b_blk):
                 _corner(u00, u01, u10, None, None, None, new, (a, b), tmp)
@@ -767,11 +782,9 @@ def _sweep_order1(X: np.ndarray, Y: np.ndarray,
         # fires, and its y flags
         at0 = bufs[..., first:last]
         befores = cycle([(at0[q % 4], at1[q % 4]) for q in range(p, p + 4)])
-        fires, fire_t = repeat(False), repeat(None)
-        if gated:
-            fire_s = rep_x[:, first:last]
-            fire_t = fire_windows[start:start + last_p - p + 1, :, :last - first][::-1]
-            fires = (fire_t | fire_s).any(axis=(1, 2)).tolist()
+        fire_s = rep_x[:, first:last]
+        fire_t = fire_windows[start:start + last_p - p + 1, :, :last - first][::-1]
+        fires = (fire_t | fire_s).any(axis=(1, 2)).tolist()
         for q, (u00, u01, u10, new), (before_s, before_t), h, b, fire_tq, fired in zip(
                 range(p, last_p + 1), views, befores, h_blk, b_blk, fire_t, fires):
             np.add(h, 1.0, one_h)
@@ -817,6 +830,28 @@ def solve_order1(increments_x: Sequence[Sequence[float]],
     return KernelSolution(value)
 
 
+def _check_identities(gram: np.ndarray, name: str = "series {}") -> None:
+    """Raise NumericError where kernel values break an exact-kernel identity.
+
+    gram[i, j] is the kernel of series i and j.  Every exact k(x, x) is at
+    least 1 and every |k(x, y)| at most sqrt(k(x, x) k(y, y)) (Cauchy-
+    Schwarz); a computed value may miss either by the relative slack
+    _IDENTITY_SLACK only.  The smallest diagonal entry is checked first,
+    then the entry furthest above its bound.  name.format(i) names series i
+    in the diagonal message: experiment.gram_matrix() checks its matrix
+    with the default, and kernel() the 1 x 1 matrix of two equal lifts as
+    "a path", which meets the bound by construction.
+    """
+    i = int(np.diag(gram).argmin())
+    if gram[i, i] < 1.0 - _IDENTITY_SLACK:
+        raise NumericError(
+            f"kernel of {name.format(i)} with itself is {float(gram[i, i])!r}, below 1")
+    root = np.sqrt(np.diag(gram))
+    i, j = divmod(int((np.abs(gram) / np.outer(root, root)).argmax()), len(gram))
+    if abs(gram[i, j]) > root[i] * root[j] * (1.0 + _IDENTITY_SLACK):
+        raise NumericError(f"kernel of series {i} and {j} exceeds the Cauchy-Schwarz bound")
+
+
 def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
            partition_x: Optional[Sequence[float]] = None,
            partition_y: Optional[Sequence[float]] = None) -> float:
@@ -824,8 +859,8 @@ def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
 
     Partitions default to the full sample grids.  Series of different
     dimensions raise ShapeMismatchError before either is lifted.  When both
-    lifts are equal, a value below 1 - _IDENTITY_SLACK raises NumericError:
-    every exact k(x, x) is at least 1.
+    lifts are equal, a value below 1 - _IDENTITY_SLACK raises NumericError
+    (_check_identities): every exact k(x, x) is at least 1.
 
     Only equal lifts are gated, so one path on two partitions is not
     checked, though both lifts have the same total increment: for the 1-D
@@ -839,7 +874,6 @@ def kernel(ts_x: TimeSeries, ts_y: TimeSeries, m: int = 1,
     px = build_pab(ts_x, ts_x.times if partition_x is None else partition_x, m)
     py = build_pab(ts_y, ts_y.times if partition_y is None else partition_y, m)
     value = solve(px, py).value
-    if value < 1.0 - _IDENTITY_SLACK and all(map(
-            np.array_equal, (px.partition, px.increments), (py.partition, py.increments))):
-        raise NumericError(f"kernel of a path with itself is {value!r}, below 1")
+    if all(map(np.array_equal, (px.partition, px.increments), (py.partition, py.increments))):
+        _check_identities(np.array([[value]]), "a path")
     return value

@@ -163,15 +163,10 @@ def _leading(p: PiecewiseAbelianPath, m: int) -> PiecewiseAbelianPath:
 
     Level n of an interval's signature and of its logarithm reads only
     levels up to n, so the first tensor_dim(d, m) coefficients of each row
-    are bit for bit the degree-m log-signature.  The path shares p's
-    checked, read-only arrays (its increments are a view of p's), so the
-    constructor's copies and checks are skipped.
+    are bit for bit the degree-m log-signature.  The cut goes through the
+    constructor, which copies and checks it like any other path.
     """
-    path = object.__new__(PiecewiseAbelianPath)
-    for name, value in (("dim", p.dim), ("degree", m), ("partition", p.partition),
-                        ("increments", p.increments[:, :tensor_dim(p.dim, m)])):
-        object.__setattr__(path, name, value)
-    return path
+    return PiecewiseAbelianPath(p.dim, m, p.partition, p.increments[:, :tensor_dim(p.dim, m)])
 
 
 def _chen(d: int, m: int, deltas: np.ndarray, bounds: np.ndarray) -> np.ndarray:

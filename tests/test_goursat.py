@@ -515,18 +515,23 @@ def test_corner_writes_into_out_bitwise():
 def test_weights_are_the_affine_coefficients_bitwise():
     # _corner on the basis inputs gives exactly the weights 1 + h, 1 + h,
     # h*h - 1 and (1 + 2h)/4, less h/6 in alpha where D_s fires, so the
-    # coupled sweep's weights keep their bits under the affine form
+    # coupled sweep's weights keep their bits under the affine form; so do
+    # _weights, which takes w01, w00 and the unfired alpha from the pair
+    # (1 + h, h*h - 1) without calling _corner
     rng = np.random.default_rng(37)
     h = np.concatenate([[-1.0, -0.0, 0.0, 1.0, -3.5, 2.0], 1.5 * rng.standard_normal(42)])
     h = h.reshape(2, 3, 8)
     fire_s = rng.random(h.shape) < 0.5
     for fire in (None, fire_s):
-        alpha, w01, w00, wg0 = goursat._weights(h, fire)
         one_h = 1.0 + h
-        assert same_bits(alpha, one_h if fire is None else one_h - (h / 6.0) * fire)
-        assert same_bits(w01, one_h)
-        assert same_bits(w00, h * h - 1.0)
-        assert same_bits(wg0, 0.25 * (1.0 + (h + h)))
+        want = (one_h if fire is None else one_h - (h / 6.0) * fire, one_h, h * h - 1.0,
+                0.25 * (1.0 + (h + h)))
+        basis = (goursat._corner(0.0, 0.0, 1.0, h, None, fire), goursat._corner(0.0, 1.0, 0.0, h),
+                 goursat._corner(1.0, 0.0, 0.0, h),
+                 goursat._corner(0.0, 0.0, 0.0, h, (1.0, 0.0, 0.0, 0.0)))
+        for weights in (basis, goursat._weights(h, fire)):
+            for got, w in zip(weights, want):
+                assert same_bits(got, w)
 
 
 def test_affine_update_rounds_like_the_nested_form():
